@@ -29,6 +29,7 @@ The package is organised in six modules:
 from .quadrature import (
     EnvelopeError,
     ExponentialDecay,
+    NonConvergenceError,
     NonIntegrableTailError,
     OscillatoryDecay,
     PolynomialDecay,
@@ -111,6 +112,7 @@ __all__ = [
     "OscillatoryDecay",
     "EnvelopeError",
     "NonIntegrableTailError",
+    "NonConvergenceError",
     "integrate",
     "integrate_oscillatory",
     "integrate_semi_infinite",

@@ -26,8 +26,9 @@ Every run writes a CSV table with the exact header
 order, byte-identical across repeated runs) and a JSON sidecar carrying
 the full effective configuration, fitted slopes, and the pass/fail state
 of the experiment's invariants.  Exit status: 0 when all invariants pass,
-1 when an invariant fails or quadrature does not converge, 2 on
-configuration or runtime errors (no files are written for config errors).
+1 when an invariant fails or quadrature does not converge
+(:class:`NonConvergenceError`), 2 on configuration or other runtime errors
+(no files are written; runtime errors are reported with their class name).
 
 Precedence: command-line flags override config-file fields, which
 override the ``INGHAM_RATES_TOL`` environment variable, which overrides
@@ -50,7 +51,7 @@ from typing import Optional
 import numpy as np
 
 from .kernels import Kernel, bump_kernel, fudge_kernel, numeric_fourier, tent_kernel
-from .quadrature import QuadratureSpec
+from .quadrature import NonConvergenceError, QuadratureSpec
 from .rate_functions import (
     MonotoneFunction,
     VARIANTS,
@@ -593,14 +594,13 @@ def _run_raw_oracle(cfg: RunConfig):
         )
     rows = []
     failures = []
-    for t in ts:
+    for t, closed in zip(ts.tolist(), bound(ts).tolist()):
         if variant == "infinity_ck":
-            raw, _ = raw_bound_ck(growth, k, bound.c, float(t))
+            raw, _ = raw_bound_ck(growth, k, bound.c, t)
         else:
-            raw, _ = raw_bound_smooth(growth, bound.c, float(t))
-        closed = float(bound(float(t)))
+            raw, _ = raw_bound_smooth(growth, bound.c, t)
         ratio = raw / closed
-        rows.append((float(t), raw, closed, ratio))
+        rows.append((t, raw, closed, ratio))
         if not 0.1 <= ratio <= 10.0:
             failures.append(
                 f"raw/closed ratio {ratio:.4g} at t={t:g} leaves [0.1, 10]"
@@ -657,15 +657,18 @@ def run(cfg: RunConfig) -> int:
     """Execute the configured experiment and write its reports.
 
     Returns 0 when every invariant passed, 1 when an invariant failed or
-    quadrature did not converge, 2 on runtime errors.
+    quadrature did not converge, 2 on any other runtime error.
     """
     runner = _RUNNERS[cfg.experiment]
     try:
         rows, slopes, failures, meta, stability = runner(cfg)
-    except RuntimeError as exc:  # non-converged quadrature
+    except NonConvergenceError as exc:
         _write_reports(cfg, [], {}, [f"not converged: {exc}"], {}, None)
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:  # a failure that is not quadrature's: name its type
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -28,9 +28,8 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
-from .quadrature import QuadratureSpec, QuadResult, integrate, integrate_oscillatory
+from .quadrature import NonConvergenceError, QuadratureSpec, integrate, integrate_oscillatory
 
 __all__ = [
     "Kernel",
@@ -245,6 +244,10 @@ def _build_bump(transition_sharpness: float, time_cutoff: float, table_points: i
 
     t_sym = np.concatenate([-t_grid[:0:-1], t_grid])
     phi_sym = np.concatenate([phi[:0:-1], phi])
+    # scipy.interpolate is imported here: it is slow to import and only the
+    # bump kernel needs it
+    from scipy.interpolate import CubicSpline
+
     spline = CubicSpline(t_sym, phi_sym)
 
     interior = t_grid >= 1.0
@@ -300,7 +303,7 @@ def _component_tail(coef: float, trig: str, freq: float, power: int, t_from: flo
     res = integrate_oscillatory(lambda u: u ** (-float(power)), freq, t_from,
                                 phase=phase, spec=spec)
     if not res.converged:
-        raise RuntimeError("oscillatory tail integration did not converge")
+        raise NonConvergenceError("oscillatory tail integration did not converge")
     return sign * coef * res.value, abs(coef) * res.error
 
 
@@ -345,7 +348,7 @@ def numeric_fourier(kernel: Kernel, s: float, spec: Optional[QuadratureSpec] = N
     if kernel._components:
         head = integrate(lambda t: kernel.time_eval(t) * np.cos(s * t), 0.0, 1.0, spec)
         if not head.converged:
-            raise RuntimeError("head integration did not converge")
+            raise NonConvergenceError("head integration did not converge")
         total = head.value
         for coef, trig, freq, power in kernel._components:
             # trig(freq*t) * cos(s*t) splits into half-amplitude components
@@ -360,7 +363,7 @@ def numeric_fourier(kernel: Kernel, s: float, spec: Optional[QuadratureSpec] = N
                          oscillation_frequency=max(abs(s), 1.0))
     res = integrate(lambda t: kernel.time_eval(t) * np.cos(s * t), 0.0, cutoff, osc)
     if not res.converged:
-        raise RuntimeError("transform integration did not converge")
+        raise NonConvergenceError("transform integration did not converge")
     return 2.0 * res.value
 
 
@@ -375,5 +378,5 @@ def leibniz_tail(envelope: Callable[[np.ndarray], np.ndarray], alpha: float, t: 
     """
     res = integrate_oscillatory(envelope, alpha, t, spec=spec)
     if not res.converged:
-        raise RuntimeError("half-period summation did not converge")
+        raise NonConvergenceError("half-period summation did not converge")
     return float(res.value)

@@ -30,6 +30,7 @@ __all__ = [
     "OscillatoryDecay",
     "EnvelopeError",
     "NonIntegrableTailError",
+    "NonConvergenceError",
     "integrate",
     "integrate_oscillatory",
     "integrate_semi_infinite",
@@ -42,6 +43,10 @@ class EnvelopeError(ValueError):
 
 class NonIntegrableTailError(ValueError):
     """Raised when a tail hint implies a divergent integral."""
+
+
+class NonConvergenceError(RuntimeError):
+    """Raised by a caller whose quadrature result came back not converged."""
 
 
 # Gauss(7)/Kronrod(15) abscissae and weights on [-1, 1].
@@ -78,7 +83,6 @@ _GAUSS_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
 _WEIGHTS_G = np.concatenate([_GAUSS_WPOS[:-1], _GAUSS_WPOS[::-1]])
 
 _GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 @dataclass(frozen=True)

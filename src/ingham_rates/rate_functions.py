@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -319,82 +319,117 @@ def log_decay_fn(decay: MonotoneFunction) -> ComposedRate:
 # -- inversion ---------------------------------------------------------------
 
 
-def invert_monotone(f, y: float, tol_rel: float = 1e-10) -> float:
-    """Solve f(x) = y for a monotone rate function or composition.
+# Per kind: the domain edge, the first far end of the bracket, the factor
+# that pushes it outwards, the maps x -> u and u -> x of the bisection
+# coordinate (f increases in u) and whether a far end has left the float
+# range.
+_BISECTION = {
+    "growth": (0.0, 1.0, 2.0, math.log1p, math.expm1, lambda far: far > 1e308),
+    "decay": (1.0, 0.5, 0.5, lambda x: math.log(1.0 / x), lambda u: math.exp(-u),
+              lambda far: far < 1e-300),
+}
+
+
+def _libm(fn, values: np.ndarray) -> np.ndarray:
+    """Apply a ``math`` function per element.
+
+    numpy's SIMD exp/log differ from libm in the last ulp, which would move
+    every bisection midpoint and raw-oracle grid value off the one-point
+    results.
+    """
+    return np.fromiter(map(fn, values.tolist()), dtype=float, count=values.size)
+
+
+def _invert(f, y: np.ndarray, tol_rel: float = 1e-10) -> tuple[np.ndarray, dict]:
+    """Solve f(x) = y for every element of the 1-d target array y.
 
     Growth functions are solved on [0, inf) by geometric bracket expansion
     followed by bisection in log(1+x); decay functions on (0, 1] by the
-    mirrored procedure in log(1/x).  Iteration stops when
+    mirrored procedure in log(1/x).  An element stops when
+    ``|f(x) - y| <= tol_rel * max(1, |y|)``.  All elements share each
+    evaluation of f, and every element takes the steps the one-target
+    search would take, so each result is bitwise the scalar one.
+
+    Returns the solutions (NaN where none was found) and a dict mapping
+    the index of each such target to the exception that reports it:
+    :class:`InversionRangeError` for targets outside the attained range,
+    ``ValueError`` for non-finite ones.
+    """
+    kind = getattr(f, "kind", None)
+    if kind not in _BISECTION:
+        raise ValueError("f must be a growth or decay rate (has .kind)")
+    edge_x, far0, step, to_u, from_u, escaped = _BISECTION[kind]
+    finite = np.isfinite(y)
+    failures = {i: ValueError("inversion target must be finite")
+                for i in np.flatnonzero(~finite).tolist()}
+    slack = tol_rel * np.maximum(1.0, np.abs(y))
+
+    edge = float(f(edge_x))
+    below = finite & (y < edge - slack)
+    at_edge = finite & ~below & (np.abs(y - edge) <= slack)
+    for i in np.flatnonzero(below).tolist():
+        failures[i] = InversionRangeError(
+            f"target {float(y[i])!r} is below the range minimum f({edge_x:g}) = {edge!r}")
+    x = np.where(at_edge, edge_x, np.nan)
+
+    # Bracket: push the far end outwards until f there reaches the target.
+    todo = np.flatnonzero(finite & ~below & ~at_edge)
+    yt, st = y[todo], slack[todo]
+    near = np.full(todo.size, edge_x)
+    far = np.full(todo.size, far0)
+    bracketed = np.ones(todo.size, dtype=bool)
+    open_ = np.arange(todo.size)
+    while open_.size:
+        f_far = np.asarray(f(far[open_]), dtype=float)
+        short = ~(f_far >= yt[open_])
+        open_, f_far = open_[short], f_far[short]
+        near[open_] = far[open_]
+        with np.errstate(over="ignore"):
+            far[open_] *= step
+        out = escaped(far[open_])
+        for j, fv in zip(open_[out].tolist(), f_far[out].tolist()):
+            failures[int(todo[j])] = InversionRangeError(
+                f"target {float(yt[j])!r} exceeds the attained range"
+                f" (f({float(near[j])!r}) = {fv!r})")
+        bracketed[open_[out]] = False
+        open_ = open_[~out]
+
+    # Bisect in u, where f increases, until each residual is within slack.
+    u_lo, u_hi = _libm(to_u, near), _libm(to_u, far)
+    xt = np.full(todo.size, np.nan)
+    active, fx = np.flatnonzero(bracketed), np.empty(0)
+    for _ in range(600):
+        if not active.size:
+            break
+        u_mid = 0.5 * (u_lo[active] + u_hi[active])
+        xm = _libm(from_u, u_mid)
+        fx = np.asarray(f(xm), dtype=float)
+        hit = np.abs(fx - yt[active]) <= st[active]
+        xt[active[hit]] = xm[hit]
+        rise = fx < yt[active]
+        u_lo[active[rise]] = u_mid[rise]
+        u_hi[active[~rise]] = u_mid[~rise]
+        active, fx = active[~hit], fx[~hit]
+    for j, fv in zip(active.tolist(), fx.tolist()):
+        failures[int(todo[j])] = InversionRangeError(
+            f"bisection did not reach |f(x) - y| <= {float(st[j])!r};"
+            f" residual {abs(fv - float(yt[j]))!r}")
+    x[todo] = xt
+    return x, failures
+
+
+def invert_monotone(f, y: float, tol_rel: float = 1e-10) -> float:
+    """Solve f(x) = y for a monotone rate function or composition.
+
+    The one-target form of the array search used by :class:`RateBound`:
+    same bracket, same bisection, same stop rule
     ``|f(x) - y| <= tol_rel * max(1, |y|)``.  Targets outside the attained
     range raise :class:`InversionRangeError` reporting the range edge.
     """
-    kind = getattr(f, "kind", None)
-    if kind not in ("growth", "decay"):
-        raise ValueError("f must be a growth or decay rate (has .kind)")
-    if not math.isfinite(y):
-        raise ValueError("inversion target must be finite")
-    slack = tol_rel * max(1.0, abs(y))
-
-    if kind == "growth":
-        edge = float(f(0.0))
-        if y < edge - slack:
-            raise InversionRangeError(f"target {y!r} is below the range minimum f(0) = {edge!r}")
-        if abs(y - edge) <= slack:
-            return 0.0
-        lo, hi = 0.0, 1.0
-        for _ in range(1200):
-            fhi = float(f(hi))
-            if fhi >= y:
-                break
-            lo, hi = hi, hi * 2.0
-            if hi > 1e308:
-                raise InversionRangeError(
-                    f"target {y!r} exceeds the attained range (f({lo!r}) = {fhi!r})"
-                )
-        else:
-            raise InversionRangeError(
-                f"target {y!r} exceeds the attained range (f({lo!r}) = {float(f(lo))!r})"
-            )
-        u_lo, u_hi = math.log1p(lo), math.log1p(hi)
-        increasing = True
-    else:
-        edge = float(f(1.0))
-        if y < edge - slack:
-            raise InversionRangeError(f"target {y!r} is below the range minimum f(1) = {edge!r}")
-        if abs(y - edge) <= slack:
-            return 1.0
-        hi, lo = 1.0, 0.5
-        for _ in range(1200):
-            flo = float(f(lo))
-            if flo >= y:
-                break
-            hi, lo = lo, lo * 0.5
-            if lo < 1e-300:
-                raise InversionRangeError(
-                    f"target {y!r} exceeds the attained range (f({hi!r}) = {flo!r})"
-                )
-        else:
-            raise InversionRangeError(
-                f"target {y!r} exceeds the attained range (f({hi!r}) = {float(f(hi))!r})"
-            )
-        # Work in v = log(1/x); f is increasing in v.
-        u_lo, u_hi = math.log(1.0 / hi), math.log(1.0 / lo)
-        increasing = True
-
-    x = None
-    for _ in range(600):
-        u_mid = 0.5 * (u_lo + u_hi)
-        x = math.expm1(u_mid) if kind == "growth" else math.exp(-u_mid)
-        fx = float(f(x))
-        if abs(fx - y) <= slack:
-            return x
-        if (fx < y) == increasing:
-            u_lo = u_mid
-        else:
-            u_hi = u_mid
-    raise InversionRangeError(
-        f"bisection did not reach |f(x) - y| <= {slack!r}; residual {abs(float(f(x)) - y)!r}"
-    )
+    x, failures = _invert(f, np.array([y], dtype=float), tol_rel)
+    if failures:
+        raise failures[0]
+    return float(x[0])
 
 
 # -- bounds -------------------------------------------------------------------
@@ -436,23 +471,25 @@ class RateBound:
             raise BoundDomainError(
                 f"bound for {self.variant} is defined for t >= {self.t_min!r}"
             )
-        flat = np.atleast_1d(arr)
-        out = np.empty_like(flat)
-        for i, ti in enumerate(flat):
-            out[i] = self._eval_scalar(float(ti))
-        out = out.reshape(arr.shape)
-        return _ret(out, scalar)
-
-    def _eval_scalar(self, t: float) -> float:
-        y = self.c * t
-        total = 0.0
-        if self._decay_fn is not None:
-            total += invert_monotone(self._decay_fn, y)
+        flat = arr.ravel()
+        y = self.c * flat
+        decay_x = growth_x = None
+        failures = {}
         if self._growth_fn is not None:
-            total += 1.0 / invert_monotone(self._growth_fn, y)
+            growth_x, failures = _invert(self._growth_fn, y)
+        if self._decay_fn is not None:
+            decay_x, decay_failures = _invert(self._decay_fn, y)
+            failures.update(decay_failures)  # at one t, decay is inverted first
+        if failures:
+            raise failures[min(failures)]
+        total = np.zeros_like(flat)
+        if decay_x is not None:
+            total += decay_x
+        if growth_x is not None:
+            total += 1.0 / growth_x
         if self.variant in ("zero_ck", "zero_smooth", "zero_infinity_smooth"):
-            total += 1.0 / t
-        return total
+            total += 1.0 / flat
+        return _ret(total.reshape(arr.shape), scalar)
 
 
 def make_bound(
@@ -520,7 +557,7 @@ def make_bound(
 
 
 def _minimise_log_grid(
-    logf: Callable[[float], float],
+    logf: Callable[[np.ndarray], np.ndarray],
     u_max_initial: float,
     *,
     points: int = 400,
@@ -529,14 +566,20 @@ def _minimise_log_grid(
 ) -> tuple[float, float]:
     """Minimise exp(logf(u)) for u = log R in [0, u_max] with golden refinement.
 
-    Returns (min value, argmin R).  The upper edge doubles (in R) whenever
-    the grid minimum lands on it; persistent boundary minima raise
-    :class:`SearchBracketError`.
+    ``logf`` maps an array of u to an array of values.  The grid is
+    evaluated in one call; it only picks the bracket that the one-point
+    golden-section steps then refine.  Returns (min value, argmin R).  The
+    upper edge doubles (in R) whenever the grid minimum lands on it;
+    persistent boundary minima raise :class:`SearchBracketError`.
     """
+
+    def at(u: float) -> float:
+        return float(logf(np.array([u]))[0])
+
     u_max = u_max_initial
     for _ in range(max_doublings):
         grid = np.linspace(0.0, u_max, points)
-        vals = np.array([logf(u) for u in grid])
+        vals = logf(grid)
         idx = int(np.nanargmin(vals))
         if idx < points - 1 or u_max >= math.log(1e250):
             break
@@ -556,18 +599,18 @@ def _minimise_log_grid(
     a, b = lo, hi
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
-    f1, f2 = logf(x1), logf(x2)
+    f1, f2 = at(x1), at(x2)
     while (b - a) > rel_tol * max(1.0, abs(0.5 * (a + b))):
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - invphi * (b - a)
-            f1 = logf(x1)
+            f1 = at(x1)
         else:
             a, x1, f1 = x1, x2, f2
             x2 = a + invphi * (b - a)
-            f2 = logf(x2)
+            f2 = at(x2)
     u_best = x1 if f1 <= f2 else x2
-    return math.exp(logf(u_best)), math.exp(u_best)
+    return math.exp(at(u_best)), math.exp(u_best)
 
 
 def _search_radius(growth: MonotoneFunction, composed: ComposedRate, y: float) -> float:
@@ -592,12 +635,10 @@ def raw_bound_ck(growth: MonotoneFunction, k: int, c: float, t: float) -> tuple[
 
     log_t = math.log(t)
 
-    def logf(u: float) -> float:
-        R = math.exp(u)
-        M = float(growth(R))
-        if not math.isfinite(M):
-            return math.inf
-        return float(np.logaddexp(-u, u + (k + 1) * math.log(M) - k * log_t))
+    def logf(u: np.ndarray) -> np.ndarray:
+        M = growth(_libm(math.exp, u))
+        val = np.logaddexp(-u, u + (k + 1) * _libm(math.log, M) - k * log_t)
+        return np.where(np.isfinite(M), val, np.inf)
 
     u_max = math.log(_search_radius(growth, ck_growth_fn(growth, k), c * t))
     return _minimise_log_grid(logf, u_max)
@@ -614,13 +655,11 @@ def raw_bound_smooth(growth: MonotoneFunction, c: float, t: float) -> tuple[floa
     if c <= 0.0 or t <= 0.0:
         raise ValueError("c and t must be positive")
 
-    def logf(u: float) -> float:
-        R = math.exp(u)
-        M = float(growth(R))
-        if not math.isfinite(M):
-            return math.inf
-        big = 2.0 * math.log1p(R) + 2.0 * math.log(M) - 2.0 * c * t / M
-        return float(np.logaddexp(big, 0.0)) - u
+    def logf(u: np.ndarray) -> np.ndarray:
+        R = _libm(math.exp, u)
+        M = growth(R)
+        big = 2.0 * _libm(math.log1p, R) + 2.0 * _libm(math.log, M) - 2.0 * c * t / M
+        return np.where(np.isfinite(M), np.logaddexp(big, 0.0) - u, np.inf)
 
     u_max = math.log(_search_radius(growth, log_growth_fn(growth), c * t))
     return _minimise_log_grid(logf, u_max)

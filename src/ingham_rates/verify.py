@@ -36,11 +36,10 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import exp1
 
 from .kernels import Kernel, tail_integral
-from .quadrature import QuadratureSpec, integrate
-from .rate_functions import RateBound, make_bound
+from .quadrature import NonConvergenceError, QuadratureSpec, integrate
+from .rate_functions import make_bound
 from .semigroup_lab import (
     Scenario,
-    boundary_function,
     mode_weights,
     orbit_argmax,
     orbit_norm,
@@ -218,7 +217,7 @@ def _complex_integral(f, a: float, b: float, spec: QuadratureSpec) -> complex:
     re = integrate(lambda u: np.real(f(u)), a, b, spec)
     im = integrate(lambda u: np.imag(f(u)), a, b, spec)
     if not (re.converged and im.converged):
-        raise RuntimeError("quadrature did not converge in Parseval check")
+        raise NonConvergenceError("quadrature did not converge in Parseval check")
     return re.value + 1j * im.value
 
 

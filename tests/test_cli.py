@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 
 from ingham_rates import cli
 from ingham_rates.cli import ConfigError, parse_config
+from ingham_rates.quadrature import NonConvergenceError
+from ingham_rates.rate_functions import SearchBracketError
 
 
 MINIMAL_KERNEL = "[kernel]\nname = tent\n"
@@ -427,6 +429,27 @@ c = 1.0
         assert "validity threshold" in capsys.readouterr().err
         assert not (tmp_path / "early.csv").exists()
         assert not (tmp_path / "early.json").exists()
+
+    @pytest.mark.parametrize("error,rc,reports", [
+        (SearchBracketError("minimiser pinned at the search boundary"), 2, False),
+        (NonConvergenceError("oscillatory tail integration did not converge"), 1, True),
+    ], ids=["search_bracket", "non_convergence"])
+    def test_only_non_convergence_exits_one(self, tmp_path, capsys, monkeypatch,
+                                            error, rc, reports):
+        # a raw-oracle search failure is not a quadrature failure: it exits
+        # 2 under its own class name and writes no reports
+        def failing(*args, **kwargs):
+            raise error
+        monkeypatch.setattr(cli, "raw_bound_ck", failing)
+        cfg_path = write_config(tmp_path, BOUND_CONSTANT)
+        out = tmp_path / "oracle"
+        assert cli.main(["oracle", "--config", str(cfg_path),
+                         "--out", str(out)]) == rc
+        err = capsys.readouterr().err
+        assert str(error) in err
+        assert (type(error).__name__ in err) == (not reports)
+        assert (tmp_path / "oracle.csv").exists() == reports
+        assert (tmp_path / "oracle.json").exists() == reports
 
     def test_unwritable_output_path_exits_two(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, MINIMAL_KERNEL)

@@ -6,6 +6,10 @@ relative to the unnormalised trigonometric expressions.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,3 +231,20 @@ class TestPrimitiveTail:
     def test_tail_requires_positive_start(self):
         with pytest.raises(ValueError, match="t > 0"):
             tail_integral(TENT, 0.0)
+
+
+def test_cli_import_leaves_scipy_interpolate_to_the_bump_kernel():
+    # scipy.interpolate costs about half a second to import and only the
+    # bump kernel's spline needs it
+    code = (
+        "import sys\n"
+        "import ingham_rates.cli\n"
+        "assert 'scipy.interpolate' not in sys.modules\n"
+        "from ingham_rates.kernels import bump_kernel\n"
+        "print(bump_kernel().name)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "bump"

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ingham_rates.rate_functions import (
+    _C_RANGES,
     BoundDomainError,
     InadmissibleConstantError,
     InversionRangeError,
@@ -25,6 +26,12 @@ from ingham_rates.rate_functions import (
     make_bound,
     raw_bound_ck,
     raw_bound_smooth,
+)
+from ingham_rates.semigroup_lab import (
+    cluster_infinity,
+    cluster_zero,
+    resolvent_envelope_decay,
+    resolvent_envelope_growth,
 )
 
 
@@ -336,3 +343,133 @@ class TestRawBounds:
         for t in np.geomspace(1e3, 1e5, 9):
             raw, _ = raw_bound_smooth(M, 0.4, float(t))
             assert 0.1 <= raw / float(bound(t)) <= 10.0
+
+
+# -- array inversion against the one-target bisection -------------------------
+
+
+def _reference_invert(f, y, tol_rel=1e-10):
+    """The one-target bisection that bound evaluation reproduces bit for bit."""
+    slack = tol_rel * max(1.0, abs(y))
+    if f.kind == "growth":
+        edge = float(f(0.0))
+        if y < edge - slack:
+            raise InversionRangeError(f"target {y!r} is below the range minimum f(0) = {edge!r}")
+        if abs(y - edge) <= slack:
+            return 0.0
+        lo, hi = 0.0, 1.0
+        while True:
+            fhi = float(f(hi))
+            if fhi >= y:
+                break
+            lo, hi = hi, hi * 2.0
+            if hi > 1e308:
+                raise InversionRangeError(
+                    f"target {y!r} exceeds the attained range (f({lo!r}) = {fhi!r})")
+        u_lo, u_hi = math.log1p(lo), math.log1p(hi)
+    else:
+        edge = float(f(1.0))
+        if y < edge - slack:
+            raise InversionRangeError(f"target {y!r} is below the range minimum f(1) = {edge!r}")
+        if abs(y - edge) <= slack:
+            return 1.0
+        hi, lo = 1.0, 0.5
+        while True:
+            flo = float(f(lo))
+            if flo >= y:
+                break
+            hi, lo = lo, lo * 0.5
+            if lo < 1e-300:
+                raise InversionRangeError(
+                    f"target {y!r} exceeds the attained range (f({hi!r}) = {flo!r})")
+        u_lo, u_hi = math.log(1.0 / hi), math.log(1.0 / lo)
+    for _ in range(600):
+        u_mid = 0.5 * (u_lo + u_hi)
+        x = math.expm1(u_mid) if f.kind == "growth" else math.exp(-u_mid)
+        fx = float(f(x))
+        if abs(fx - y) <= slack:
+            return x
+        if fx < y:
+            u_lo = u_mid
+        else:
+            u_hi = u_mid
+    raise InversionRangeError(
+        f"bisection did not reach |f(x) - y| <= {slack!r}; residual {abs(fx - y)!r}")
+
+
+def _reference_bound(bound, t):
+    """The bound at one t from the one-target bisection."""
+    y = bound.c * t
+    total = 0.0
+    if bound._decay_fn is not None:
+        total += _reference_invert(bound._decay_fn, y)
+    if bound._growth_fn is not None:
+        total += 1.0 / _reference_invert(bound._growth_fn, y)
+    if bound.variant in ("zero_ck", "zero_smooth", "zero_infinity_smooth"):
+        total += 1.0 / t
+    return total
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except InversionRangeError as exc:
+        return ("InversionRangeError", str(exc))
+
+
+def _rate_pair(family, alpha):
+    if family == "power":
+        return (MonotoneFunction.power_growth(alpha),
+                MonotoneFunction.power_decay(alpha))
+    if family == "exponential":
+        return (MonotoneFunction.exponential_growth(alpha),
+                MonotoneFunction.exponential_decay(alpha))
+    return (resolvent_envelope_growth(cluster_infinity(alpha, 40)),
+            resolvent_envelope_decay(cluster_zero(1.0 + alpha, 40)))
+
+
+class TestArrayInversion:
+    @given(variant=st.sampled_from(VARIANTS),
+           family=st.sampled_from(("power", "exponential", "envelope")),
+           alpha=st.floats(min_value=0.3, max_value=2.0),
+           k=st.integers(min_value=1, max_value=4),
+           c_frac=st.floats(min_value=0.05, max_value=0.95),
+           factors=st.lists(st.floats(min_value=1.0, max_value=1e4),
+                            min_size=1, max_size=25))
+    @settings(max_examples=60, deadline=None)
+    def test_grid_equals_pointwise_and_reference(self, variant, family, alpha, k,
+                                                 c_frac, factors):
+        growth, decay = _rate_pair(family, alpha)
+        hi = _C_RANGES[variant][1]
+        c = 10.0 * c_frac if math.isinf(hi) else hi * c_frac
+        ck = variant.endswith("_ck")
+        bound = make_bound(variant, growth=growth, decay=decay, c=c,
+                           k=k if ck else None)
+        ts = bound.t_min * np.array(factors)
+        grid = _outcome(lambda: bound(ts).tolist())
+        pointwise = _outcome(lambda: [bound(float(t)) for t in ts])
+        reference = _outcome(lambda: [_reference_bound(bound, float(t)) for t in ts])
+        assert grid == pointwise == reference
+        for fn in (bound._growth_fn, bound._decay_fn):
+            if fn is not None:
+                y = bound.c * float(ts[0])
+                assert (_outcome(lambda: invert_monotone(fn, y))
+                        == _outcome(lambda: _reference_invert(fn, y)))
+
+    @pytest.mark.parametrize("variant,kwargs", [
+        ("infinity_smooth", {"growth": MonotoneFunction.constant_growth(1.0)}),
+        ("zero_smooth", {"decay": MonotoneFunction.constant_decay(1.0)}),
+    ])
+    def test_one_out_of_range_target_raises(self, variant, kwargs):
+        # log compositions of constant rates grow only logarithmically, so
+        # their attained range ends near 700; c*t = 0.45e4 lies beyond it
+        bound = make_bound(variant, **kwargs)
+        ts = np.array([bound.t_min, 100.0, 1e4, 200.0])
+        with pytest.raises(InversionRangeError) as excinfo:
+            bound(ts)
+        fn = bound._growth_fn or bound._decay_fn
+        assert str(excinfo.value) == _outcome(
+            lambda: _reference_invert(fn, bound.c * 1e4))[1]
+        assert "exceeds the attained range" in str(excinfo.value)
+        good = ts[[0, 1, 3]]
+        assert bound(good).tolist() == [_reference_bound(bound, float(t)) for t in good]

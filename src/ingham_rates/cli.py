@@ -592,13 +592,14 @@ def _run_raw_oracle(cfg: RunConfig):
             f"[grid] min={ts[0]:g} is below the bound's validity threshold"
             f" t_min={bound.t_min:.6g}"
         )
+    closed_values = bound(ts)
+    if variant == "infinity_ck":
+        raws, _ = raw_bound_ck(growth, k, bound.c, ts)
+    else:
+        raws, _ = raw_bound_smooth(growth, bound.c, ts)
     rows = []
     failures = []
-    for t, closed in zip(ts.tolist(), bound(ts).tolist()):
-        if variant == "infinity_ck":
-            raw, _ = raw_bound_ck(growth, k, bound.c, t)
-        else:
-            raw, _ = raw_bound_smooth(growth, bound.c, t)
+    for t, raw, closed in zip(ts.tolist(), raws.tolist(), closed_values.tolist()):
         ratio = raw / closed
         rows.append((t, raw, closed, ratio))
         if not 0.1 <= ratio <= 10.0:

@@ -28,6 +28,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .quadrature import NonConvergenceError, QuadratureSpec, integrate, integrate_oscillatory
 
@@ -89,14 +90,16 @@ def _fudge_time(t: np.ndarray) -> np.ndarray:
     return (2.0 / math.pi) * np.where(small, series, direct)
 
 
-def _tent_freq(s: np.ndarray) -> np.ndarray:
-    a = np.abs(np.asarray(s, dtype=float))
-    return np.where(a <= 0.5, 1.0, np.where(a >= 1.0, 0.0, 2.0 * (1.0 - a)))
-
-
-def _fudge_freq(s: np.ndarray) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
-    return np.maximum(0.0, 1.0 - s * s)
+def _piecewise_freq(pieces: tuple) -> Callable[[np.ndarray], np.ndarray]:
+    """psi(s) from polynomial pieces on s >= 0; zero beyond the last piece."""
+    def freq_eval(s: np.ndarray) -> np.ndarray:
+        a = np.abs(np.asarray(s, dtype=float))
+        out = np.zeros_like(a)
+        # reversed, so the earlier piece wins at a shared endpoint
+        for lo, hi, coeffs in reversed(pieces):
+            out = np.where((a >= lo) & (a <= hi), polyval(a, coeffs), out)
+        return out
+    return freq_eval
 
 
 @dataclass(frozen=True)
@@ -106,16 +109,20 @@ class Kernel:
     ``flat_near_zero`` records whether the transform is identically 1 on a
     neighbourhood of s = 0 (of radius ``plateau_radius``), the property
     needed for band-limited convolution to reproduce low frequencies
-    exactly.  ``time_cutoff`` is the half-width of the tabulation window for
-    interpolated kernels (None when the time profile is closed-form), with
-    ``tail_mass_defect`` the certified bound on the mass ignored beyond it.
+    exactly.  ``freq_pieces`` states a piecewise polynomial transform once,
+    as ``(lo, hi, coefficients)`` triples on s >= 0 with coefficients in
+    ascending powers of s (psi vanishes beyond the last piece); it is empty
+    for tabulated kernels.  ``time_cutoff`` is the half-width of the
+    tabulation window for interpolated kernels (None when the time profile
+    is closed-form), with ``tail_mass_defect`` the certified bound on the
+    mass ignored beyond it.
     """
 
     name: str
     time_eval: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     freq_eval: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     flat_near_zero: bool
-    support_radius: float = 1.0
+    freq_pieces: tuple = ()
     plateau_radius: float = 0.0
     tail_mass_defect: float = 0.0
     time_cutoff: Optional[float] = None
@@ -152,11 +159,13 @@ def tent_kernel() -> Kernel:
     the transform equals 1 for |s| <= 1/2 and ``2 (1 - |s|)`` for
     1/2 <= |s| <= 1.
     """
+    pieces = ((0.0, 0.5, (1.0,)), (0.5, 1.0, (2.0, -2.0)))
     return Kernel(
         name="tent",
         time_eval=_tent_time,
-        freq_eval=_tent_freq,
+        freq_eval=_piecewise_freq(pieces),
         flat_near_zero=True,
+        freq_pieces=pieces,
         plateau_radius=0.5,
         peak_value=3.0 / (4.0 * math.pi),
         _components=(
@@ -171,11 +180,13 @@ def fudge_kernel() -> Kernel:
 
     ``phi(t) = 2 (sin t / t - cos t) / (pi t^2)`` with ``phi(0) = 2/(3 pi)``.
     """
+    pieces = ((0.0, 1.0, (1.0, 0.0, -1.0)),)
     return Kernel(
         name="fudge",
         time_eval=_fudge_time,
-        freq_eval=_fudge_freq,
+        freq_eval=_piecewise_freq(pieces),
         flat_near_zero=False,
+        freq_pieces=pieces,
         plateau_radius=0.0,
         peak_value=2.0 / (3.0 * math.pi),
         _components=(

@@ -84,12 +84,19 @@ class InadmissibleConstantError(ValueError):
 
 
 def _as_array(x) -> tuple[np.ndarray, bool]:
+    """x as a float array, and whether it was a scalar.
+
+    A scalar becomes a 1-element array: numpy's 0-d arithmetic takes
+    scalar math paths whose last ulp can differ from its array loops, and
+    a value at one point must equal the same point inside an array.
+    """
     arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
+    scalar = arr.ndim == 0
+    return (arr.reshape(1) if scalar else arr), scalar
 
 
 def _ret(arr: np.ndarray, scalar: bool):
-    return float(arr) if scalar else arr
+    return float(arr[0]) if scalar else arr
 
 
 @dataclass(frozen=True)
@@ -613,53 +620,74 @@ def _minimise_log_grid(
     return math.exp(at(u_best)), math.exp(u_best)
 
 
-def _search_radius(growth: MonotoneFunction, composed: ComposedRate, y: float) -> float:
-    try:
-        r_star = invert_monotone(composed, y)
-    except InversionRangeError:
-        r_star = 1e6
-    return min(max(1e6, 1e3 * max(r_star, 1.0)), 1e250)
+def _search_radii(composed: ComposedRate, y: np.ndarray) -> np.ndarray:
+    """Upper search radius per target: 1e3 * composed^{-1}(y), within [1e6, 1e250].
+
+    One array inversion for all targets; a target beyond the attained
+    range gets 1e6.
+    """
+    r_star, failures = _invert(composed, y)
+    for i in sorted(failures):
+        if not isinstance(failures[i], InversionRangeError):
+            raise failures[i]
+        r_star[i] = 1e6
+    return np.minimum(np.maximum(1e6, 1e3 * np.maximum(r_star, 1.0)), 1e250)
 
 
-def raw_bound_ck(growth: MonotoneFunction, k: int, c: float, t: float) -> tuple[float, float]:
+def _raw_minima(logf_at, composed: ComposedRate, c: float, t):
+    """Minimise exp(logf_at(t)) for every t of a scalar or 1-d grid."""
+    flat, scalar = _as_array(t)
+    if c <= 0.0 or np.any(flat <= 0.0):
+        raise ValueError("c and t must be positive")
+    radii = _search_radii(composed, c * flat)
+    found = [_minimise_log_grid(logf_at(tv), math.log(r))
+             for tv, r in zip(flat.tolist(), radii.tolist())]
+    if scalar:
+        return found[0]
+    values, argmins = (np.array(col) for col in zip(*found))
+    return values, argmins
+
+
+def raw_bound_ck(growth: MonotoneFunction, k: int, c: float, t):
     """Minimise 1/R + R * M(R)**(k+1) / t**k over R >= 1.
 
-    Returns (value, argmin).  The search scans a 400-point logarithmic grid
-    up to ``max(1e6, 1e3 * Mk^{-1}(c*t))`` and refines with golden-section
-    iterations to relative tolerance 1e-6 in log R.
+    Returns (value, argmin) for a scalar t, or arrays of both for a 1-d
+    t-grid.  For each t the search scans a 400-point logarithmic grid up
+    to ``max(1e6, 1e3 * Mk^{-1}(c*t))`` and refines with golden-section
+    iterations to relative tolerance 1e-6 in log R; the inverses for all
+    t come from one array inversion.
     """
     _require_kind(growth, "growth")
     _require_k(k)
-    if c <= 0.0 or t <= 0.0:
-        raise ValueError("c and t must be positive")
 
-    log_t = math.log(t)
+    def logf_at(t: float):
+        log_t = math.log(t)
 
-    def logf(u: np.ndarray) -> np.ndarray:
-        M = growth(_libm(math.exp, u))
-        val = np.logaddexp(-u, u + (k + 1) * _libm(math.log, M) - k * log_t)
-        return np.where(np.isfinite(M), val, np.inf)
+        def logf(u: np.ndarray) -> np.ndarray:
+            M = growth(_libm(math.exp, u))
+            val = np.logaddexp(-u, u + (k + 1) * _libm(math.log, M) - k * log_t)
+            return np.where(np.isfinite(M), val, np.inf)
+        return logf
 
-    u_max = math.log(_search_radius(growth, ck_growth_fn(growth, k), c * t))
-    return _minimise_log_grid(logf, u_max)
+    return _raw_minima(logf_at, ck_growth_fn(growth, k), c, t)
 
 
-def raw_bound_smooth(growth: MonotoneFunction, c: float, t: float) -> tuple[float, float]:
+def raw_bound_smooth(growth: MonotoneFunction, c: float, t):
     """Minimise (1/R) * ((1+R)**2 * M(R)**2 * exp(-2*c*t/M(R)) + 1) over R >= 1.
 
-    Returns (value, argmin); same grid-scan plus golden-section refinement
-    as :func:`raw_bound_ck`, evaluated in log space so the exponentially
+    Returns (value, argmin) for a scalar t, or arrays of both for a 1-d
+    t-grid; same grid-scan plus golden-section refinement as
+    :func:`raw_bound_ck`, evaluated in log space so the exponentially
     small terms do not underflow prematurely.
     """
     _require_kind(growth, "growth")
-    if c <= 0.0 or t <= 0.0:
-        raise ValueError("c and t must be positive")
 
-    def logf(u: np.ndarray) -> np.ndarray:
-        R = _libm(math.exp, u)
-        M = growth(R)
-        big = 2.0 * _libm(math.log1p, R) + 2.0 * _libm(math.log, M) - 2.0 * c * t / M
-        return np.where(np.isfinite(M), np.logaddexp(big, 0.0) - u, np.inf)
+    def logf_at(t: float):
+        def logf(u: np.ndarray) -> np.ndarray:
+            R = _libm(math.exp, u)
+            M = growth(R)
+            big = 2.0 * _libm(math.log1p, R) + 2.0 * _libm(math.log, M) - 2.0 * c * t / M
+            return np.where(np.isfinite(M), np.logaddexp(big, 0.0) - u, np.inf)
+        return logf
 
-    u_max = math.log(_search_radius(growth, log_growth_fn(growth), c * t))
-    return _minimise_log_grid(logf, u_max)
+    return _raw_minima(logf_at, log_growth_fn(growth), c, t)

@@ -14,11 +14,16 @@ diagonal-model layers and reports its rows plus fitted slopes in an
 * :func:`compare_decay` evaluates a measured orbit norm against the
   predicted rate bound and reports ratio boundedness and fitted slopes.
 
-Convolution defects are computed by :func:`convolution_defect_profile`,
-which expands ``f(t) - (f*phi)(t) = w e^{lambda t} (1 - J(t))`` with
-``J(t) = integral_{-inf}^t phi(u) e^{-lambda u} du`` and evaluates J by
-fixed Gauss-Legendre panels shared across all modes (the far left tail of
-closed-form kernels is added analytically via the exponential integral).
+Convolution defects are computed by :func:`convolution_defect_profile`.
+For kernels whose transform is piecewise polynomial (tent, fudge) it
+evaluates ``f - f*phi = (1/2pi) integral e^{ist} F(s) (1 - psi(s)) ds``,
+``F(s) = w/(is - lambda)``, in closed form: per mode and time a few values
+of ``e^z E1(z)`` at the transform's breakpoints plus one pole term, and no
+quadrature.  For the tabulated bump kernel it evaluates the time-domain
+convolution on fixed Gauss-Legendre panels shared across all modes; that
+route still reports modes with |Re lambda| t > 45 as 0, although their
+true defect is of order ``|w| phi(t) / |lambda|``.
+
 Dominance is tested via ratio boundedness and slope ordering, never
 pointwise measured <= bound, because the predicted rates carry unspecified
 constants; slopes are fitted on the last two decades of each sweep to
@@ -32,7 +37,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.polynomial import Polynomial
 from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.polynomial import polyval
 from scipy.special import exp1
 
 from .kernels import Kernel, tail_integral
@@ -110,8 +117,180 @@ def fit_loglog(pairs: Sequence[tuple]) -> tuple[float, float]:
 
 # -- shared convolution-defect engine -----------------------------------------
 
+_CHUNK = 1 << 18  # (mode, point) pairs held in memory at once
+_SERIES_RADIUS = 40.0  # |z| from which e^z E1(z) is summed asymptotically
+_SERIES_TERMS = 40
+_FRACTION_DEPTH = 60
 _GL_NODES, _GL_WEIGHTS = leggauss(16)
-_EXP_CLIP = 45.0  # modes with |Re lambda| t beyond this contribute < 4e-18
+_PANEL_WIDTH = 0.5 * math.pi
+# e^{-45} < 3e-20: the panel route reports modes with |Re lambda| t beyond
+# this as 0, and the Parseval check truncates the orbit there
+_EXP_CLIP = 45.0
+
+
+def _complement_pieces(kernel: Kernel) -> tuple[np.ndarray, list]:
+    """Breakpoints of 1 - psi on the line and its polynomial pieces.
+
+    Returns the sorted breakpoints c_1 < ... < c_m and the m + 1 pieces'
+    coefficients (ascending powers of s); the outer pieces are 1.  The
+    kernel's pieces on s >= 0 are mirrored to s < 0 because psi is even.
+    """
+    ends = {e for lo, hi, _ in kernel.freq_pieces for e in (lo, hi)}
+    breaks = np.array(sorted(ends | {-e for e in ends}))
+    polys = [np.ones(1)]
+    for lo, hi in zip(breaks[:-1], breaks[1:]):
+        mid = 0.5 * (lo + hi)
+        coeffs = next(np.asarray(c, dtype=float) for a, b, c in kernel.freq_pieces
+                      if a <= abs(mid) <= b)
+        psi = coeffs * np.sign(mid) ** np.arange(coeffs.size)
+        polys.append(np.concatenate([[1.0 - psi[0]], -psi[1:]]))
+    polys.append(np.ones(1))
+    return breaks, polys
+
+
+def _g_near(x: np.ndarray) -> np.ndarray:
+    """G(x) = e^x E1(x), principal branch, for |x| < 40 and Re x <= 0.
+
+    Where |Im x| >= 4 + |Re x|/2 a 60-level continued fraction
+    ``G = 1/(x+1 - 1/(x+3 - 4/(x+5 - ...)))`` is accurate to 5e-16 and
+    about four times cheaper than scipy's exp1, which takes the rest: the
+    fraction converges slowly near 0 and near the cut, the negative real
+    axis.
+    """
+    g = np.empty(x.shape, dtype=complex)
+    frac = np.abs(x.imag) >= 4.0 + 0.5 * np.abs(x.real)
+    z = x[frac]
+    f = z + (2 * _FRACTION_DEPTH + 1)
+    for k in range(_FRACTION_DEPTH, 0, -1):  # f = (z + 2k - 1) - k^2 / f, in place
+        np.divide(-(k * k), f, out=f)
+        f += z
+        f += 2 * k - 1
+    g[frac] = 1.0 / f
+    rest = x[~frac]
+    g[~frac] = np.exp(rest) * exp1(rest)
+    return g
+
+
+def _jump_terms(x: np.ndarray, w: np.ndarray, t: np.ndarray, taylor: np.ndarray) -> np.ndarray:
+    """sum_k taylor[k] w^k R_k(x) with R_k(x) = G(x) - sum_{n<k} (-1)^n n! / x^{n+1}.
+
+    G(z) = e^z E1(z) on the principal branch; R_k is the remainder of its
+    asymptotic series after k terms and x = i t w, so w/x = q = -i/t.
+    Below |x| = 40, G comes from :func:`_g_near` and the k subtracted
+    terms are written as w^{k-1-n} q^{n+1}, which stays finite as x -> 0.
+    Beyond, the series is summed from term k on:
+    w^k R_k = y k! (-q)^k T_k(y) with y = 1/x and T_k = 1 - (k+1) y T_{k+1},
+    so nothing cancels and exp1's overflow at Re x < -700 is never reached.
+    """
+    out = np.empty(x.shape, dtype=complex)
+    q = -1j / t
+    near = np.abs(x) < _SERIES_RADIUS
+    g, wn, qn = _g_near(x[near]), w[near], q[near]
+    acc = np.zeros(g.shape, dtype=complex)
+    for k, d in enumerate(taylor):
+        part = wn ** k * g
+        for n in range(k):
+            part -= (-1) ** n * math.factorial(n) * wn ** (k - 1 - n) * qn ** (n + 1)
+        acc += d * part
+    out[near] = acc
+
+    far = ~near
+    y, qf = 1.0 / x[far], q[far]
+    tk = np.ones(y.shape, dtype=complex)
+    series = [None] * taylor.size
+    for n in range(_SERIES_TERMS - 1, 0, -1):  # T_{n-1} = 1 - n y T_n
+        tk = tk * y
+        tk *= -n
+        tk += 1.0
+        if n - 1 < taylor.size:
+            series[n - 1] = tk
+    acc = np.zeros(y.shape, dtype=complex)
+    for k, d in enumerate(taylor):
+        acc += d * math.factorial(k) * (-qf) ** k * series[k]
+    out[far] = y * acc
+    return out
+
+
+def _frequency_route(kernel: Kernel, t_grid: np.ndarray):
+    """Mode defects from the closed form of the frequency integral.
+
+    ``f - f*phi = (1/2pi) int e^{ist} w (1 - psi(s)) / (is - lambda) ds``.
+    With mu = -i lambda, dividing a piece's polynomial p by s - mu leaves a
+    polynomial times e^{ist}, whose primitive is elementary, plus
+    p(mu) e^{ist} / (is - lambda), whose primitive is
+    i e^{ist} G(t (lambda - is)).  Summing the pieces leaves, at each
+    breakpoint c, the jump d = p_left - p_right expanded about c, and
+    ``sum_k d_k i e^{ict} w^k R_k(x)`` (see :func:`_jump_terms`) with
+    w = mu - c and x = i t w.  G is cut where s = Im lambda; the principal
+    branch takes the side s < Im lambda there, so the piece [a, b) holding
+    Im lambda adds the pole term ``2 pi e^{lambda t} p(mu)``.
+    """
+    breaks, polys = _complement_pieces(kernel)
+    jumps = []
+    for c, left, right in zip(breaks, polys[:-1], polys[1:]):
+        diff = Polynomial(left) - Polynomial(right)
+        taylor = diff(Polynomial([c, 1.0])).coef
+        if np.any(taylor != 0.0):
+            jumps.append((float(c), taylor))
+    t = t_grid[None, :]
+
+    def defects(lam: np.ndarray, wts: np.ndarray) -> np.ndarray:
+        mu = -1j * lam
+        piece = np.searchsorted(breaks, lam.imag, side="right")
+        p_mu = np.empty(lam.shape, dtype=complex)
+        for j, p in enumerate(polys):
+            sel = piece == j
+            p_mu[sel] = polyval(mu[sel], p)
+        total = 2.0 * math.pi * p_mu[:, None] * np.exp(lam[:, None] * t)
+        shape = (lam.size, t.size)
+        tt = np.broadcast_to(t, shape)
+        for c, taylor in jumps:
+            x = np.empty(shape, dtype=complex)
+            # built from real parts so that Im x is +0.0 when Im lambda = c
+            x.real = tt * lam.real[:, None]
+            x.imag = tt * (lam.imag[:, None] - c)
+            w = np.broadcast_to((mu - c)[:, None], shape)
+            total += 1j * np.exp(1j * c * t) * _jump_terms(x, w, tt, taylor)
+        return wts[:, None] * total / (2.0 * math.pi)
+
+    return defects, t_grid.size
+
+
+def _panel_route(kernel: Kernel, t_grid: np.ndarray):
+    """Mode defects of a tabulated kernel on Gauss-Legendre panels.
+
+    ``f - f*phi = w e^{lambda t} (1 - J(t))`` with
+    ``J(t) = integral_{-u0}^t phi(u) e^{-lambda u} du`` on the table window
+    u0 = ``time_cutoff`` (truncation beyond it is below the certified tail
+    defect), evaluated as a prefix sum over panels shared across modes,
+    plus the mass tail beyond t.  Modes with |Re lambda| t > 45 are
+    reported as 0.
+    """
+    u0 = float(kernel.time_cutoff)
+    breaks = _panel_breaks(-u0, float(t_grid[-1]), t_grid, _PANEL_WIDTH)
+    mids = 0.5 * (breaks[:-1] + breaks[1:])
+    halfs = 0.5 * np.diff(breaks)
+    nodes = (mids[:, None] + halfs[:, None] * _GL_NODES[None, :]).ravel()
+    node_w = (halfs[:, None] * _GL_WEIGHTS[None, :]).ravel()
+    phi_w = kernel.time_eval(nodes) * node_w
+    n_panels = mids.size
+    t_break = np.searchsorted(breaks, t_grid) - 1  # prefix panel count - 1
+    tail = np.array([tail_integral(kernel, t) for t in t_grid])
+
+    def defects(lam: np.ndarray, wts: np.ndarray) -> np.ndarray:
+        z = -lam[:, None] * nodes[None, :]
+        # prefixes are only consumed at t <= 45/|Re lambda|; clip keeps the
+        # unused large-u region finite without affecting reported values
+        g = np.exp(np.clip(z.real, None, _EXP_CLIP) + 1j * z.imag)
+        panel_sums = (phi_w[None, :] * (1.0 - g)).reshape(lam.size, n_panels, 16).sum(axis=2)
+        prefix = np.cumsum(panel_sums, axis=1)[:, t_break]
+        decay = np.outer(lam.real, t_grid)
+        damp = np.exp(decay + 1j * np.outer(lam.imag, t_grid))
+        out = wts[:, None] * damp * (tail[None, :] + prefix)
+        out[-decay > _EXP_CLIP] = 0.0
+        return out
+
+    return defects, nodes.size
 
 
 def _panel_breaks(lo: float, hi: float, anchors: np.ndarray, width: float) -> np.ndarray:
@@ -125,84 +304,37 @@ def _panel_breaks(lo: float, hi: float, anchors: np.ndarray, width: float) -> np
     return np.asarray(out)
 
 
-def _left_tail_closed(kernel: Kernel, lam: np.ndarray, u0: float) -> np.ndarray:
-    """integral_{-inf}^{-u0} phi(u) (1 - e^{-lambda u}) du, closed form.
-
-    Valid for even kernels built from cos(a u)/u^2 components: with
-    phi(-v) = phi(v) the exponential part becomes
-    integral_{u0}^inf phi(v) e^{lambda v} dv, and each component reduces to
-    integral_{u0}^inf e^{-w v}/v^2 dv = e^{-w u0}/u0 - w E1(w u0) with
-    Re w = -Re lambda > 0.
-    """
-    lam = np.asarray(lam, dtype=complex)
-    acc = np.full(lam.shape, tail_integral(kernel, u0), dtype=complex)
-    for coef, trig, freq, power in kernel._components:
-        if trig != "cos" or power != 2:
-            raise AdmissibilityError(
-                "closed-form left tail needs cos/u^2 kernel components"
-            )
-        for sgn in (1.0, -1.0):
-            w = -(lam + 1j * sgn * freq)
-            part = np.exp(-w * u0) / u0 - w * exp1(w * u0)
-            acc -= 0.5 * coef * part
-    return acc
-
-
 def convolution_defect_profile(
     eigenvalues: np.ndarray,
     weights: np.ndarray,
     kernel: Kernel,
     t_grid: np.ndarray,
-    panel_width: float = 0.5 * math.pi,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Componentwise sup of |f(t) - (f*phi)(t)| for f_n = w_n e^{lambda_n t}.
 
-    Returns (sup over modes, index of the maximising mode) on t_grid.  The
-    orbit is extended by zero to t < 0, so
-    ``f_n - f_n*phi = w_n e^{lambda_n t} (1 - J_n(t))`` with
-    ``J_n(t) = integral_{-inf}^t phi(u) e^{-lambda_n u} du``; the integral
-    splits into the mass tail beyond t, an analytic far-left tail, and a
-    Gauss-Legendre prefix evaluated on panels shared across modes.  Modes
-    with |Re lambda_n| t > 45 contribute below 4e-18 and are reported as 0.
+    Returns (sup over modes, index of the maximising mode) on t_grid; the
+    orbit is extended by zero to t < 0.  Kernels with a piecewise
+    polynomial transform (``freq_pieces``: tent, fudge) are evaluated in
+    closed form from the frequency integral, with a few exponential
+    integrals per mode and time and no quadrature (:func:`_frequency_route`).
+    The tabulated bump kernel uses Gauss-Legendre panels in time
+    (:func:`_panel_route`), which still report modes with
+    |Re lambda_n| t > 45 as 0.
     """
     lams = np.atleast_1d(np.asarray(eigenvalues, dtype=complex))
     wts = np.atleast_1d(np.asarray(weights, dtype=complex))
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) <= 0.0) or t_grid[0] <= 0.0:
         raise ValueError("t_grid must be positive and strictly increasing")
-    if kernel._components:
-        u0 = 50.0
-        left = _left_tail_closed(kernel, lams, u0)
-    else:
-        # tabulated kernel: the table covers the numerically supported range,
-        # truncation beyond it is below the certified tail defect
-        u0 = float(kernel.time_cutoff)
-        left = np.zeros(lams.shape, dtype=complex)
-    breaks = _panel_breaks(-u0, float(t_grid[-1]), t_grid, panel_width)
-    mids = 0.5 * (breaks[:-1] + breaks[1:])
-    halfs = 0.5 * np.diff(breaks)
-    nodes = (mids[:, None] + halfs[:, None] * _GL_NODES[None, :]).ravel()
-    node_w = (halfs[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    phi_w = kernel.time_eval(nodes) * node_w
-    n_panels = mids.size
-    t_break = np.searchsorted(breaks, t_grid) - 1  # prefix panel count - 1
-
-    tail = np.array([tail_integral(kernel, t) for t in t_grid])
+    if np.any(lams.real >= 0.0):
+        raise ValueError("eigenvalues must have strictly negative real part")
+    route = _frequency_route if kernel.freq_pieces else _panel_route
+    defects, width = route(kernel, t_grid)
+    step = max(1, _CHUNK // width)
     sup = np.zeros(t_grid.size)
     arg = np.zeros(t_grid.size, dtype=int)
-    for start in range(0, lams.size, 128):
-        lam = lams[start:start + 128]
-        z = -lam[:, None] * nodes[None, :]
-        # prefixes are only consumed at t <= 45/|Re lambda|; clip keeps the
-        # unused large-u region finite without affecting reported values
-        g = np.exp(np.clip(z.real, None, _EXP_CLIP) + 1j * z.imag)
-        panel_sums = (phi_w[None, :] * (1.0 - g)).reshape(lam.size, n_panels, 16).sum(axis=2)
-        prefix = np.cumsum(panel_sums, axis=1)[:, t_break]
-        one_minus_j = tail[None, :] + left[start:start + 128, None] + prefix
-        decay = np.outer(lam.real, t_grid)
-        damp = np.exp(decay + 1j * np.outer(lam.imag, t_grid))
-        vals = np.abs(wts[start:start + 128, None] * damp * one_minus_j)
-        vals[-decay > _EXP_CLIP] = 0.0
+    for start in range(0, lams.size, step):
+        vals = np.abs(defects(lams[start:start + step], wts[start:start + step]))
         best = vals.max(axis=0)
         upd = best > sup
         arg[upd] = start + vals.argmax(axis=0)[upd]

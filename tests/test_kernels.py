@@ -68,7 +68,6 @@ class TestTentKernel:
     def test_admissibility_flags(self):
         assert TENT.flat_near_zero
         assert TENT.plateau_radius == pytest.approx(0.5)
-        assert TENT.support_radius == pytest.approx(1.0)
 
 
 class TestFudgeKernel:

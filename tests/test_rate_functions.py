@@ -344,6 +344,21 @@ class TestRawBounds:
             raw, _ = raw_bound_smooth(M, 0.4, float(t))
             assert 0.1 <= raw / float(bound(t)) <= 10.0
 
+    @pytest.mark.parametrize("oracle", ["ck", "smooth"])
+    def test_grid_equals_pointwise(self, oracle):
+        # one array inversion sets every search radius; each t must still
+        # get exactly the value and argmin of its one-point call
+        M = MonotoneFunction.power_growth(1.0)
+        ts = np.geomspace(100.0, 1e4, 7)
+        if oracle == "ck":
+            values, argmins = raw_bound_ck(M, 2, 1.0, ts)
+            pointwise = [raw_bound_ck(M, 2, 1.0, float(t)) for t in ts]
+        else:
+            values, argmins = raw_bound_smooth(M, 0.4, ts)
+            pointwise = [raw_bound_smooth(M, 0.4, float(t)) for t in ts]
+        assert values.tolist() == [v for v, _ in pointwise]
+        assert argmins.tolist() == [r for _, r in pointwise]
+
 
 # -- array inversion against the one-target bisection -------------------------
 

@@ -2,8 +2,11 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ingham_rates.kernels import bump_kernel, fudge_kernel, tent_kernel
 from ingham_rates.quadrature import QuadratureSpec, integrate
@@ -11,6 +14,7 @@ from ingham_rates.semigroup_lab import (
     Scenario,
     cluster_infinity,
     cluster_zero,
+    mode_weights,
     single_mode,
 )
 from ingham_rates.verify import (
@@ -52,29 +56,95 @@ class TestParseval:
             check_parseval(scenario, TENT, 1.0)
 
 
+def _quad_defect(lam, w, kernel, t, scale=1.0):
+    """|f - f*phi_R|(t) for f = w e^{lam t}, with f*phi_R from quadrature
+    of (1/2pi) int e^{ist} F(s) psi(s/R) ds, F(s) = w/(is - lam), over the
+    compact support of psi(./R)."""
+    spec = QuadratureSpec(oscillation_frequency=max(abs(t), 1.0))
+    res = integrate(
+        lambda s: np.exp(1j * s * t) * (w / (1j * s - lam)) * kernel.freq(s, scale),
+        -scale, scale, spec)
+    return abs(w * np.exp(lam * t) - res.value / (2.0 * math.pi))
+
+
+# 1 - psi on the line as (lo, hi, ascending coefficients), outer pieces 1
+_COMPLEMENTS = {
+    "tent": [(-mp.inf, -1, [1]), (-1, -0.5, [-1, -2]), (-0.5, 0.5, [0]),
+             (0.5, 1, [-1, 2]), (1, mp.inf, [1])],
+    "fudge": [(-mp.inf, -1, [1]), (-1, 1, [0, 0, 1]), (1, mp.inf, [1])],
+}
+
+
+def _mpmath_defect(lam, t, kernel_name):
+    """|(1/2pi) int e^{ist} (1 - psi(s)) / (is - lam) ds| at 30 digits.
+
+    On each piece, p(s) / (is - lam) = -i q(s) + p(mu) / (is - lam) with
+    mu = -i lam and q = (p(s) - p(mu)) / (s - mu).  The moments of
+    e^{ist} are elementary and the last term has the primitive
+    i e^{ist} e^z E1(z), z = t (lam - is), cut at s = Im lam; on the cut
+    mpmath's e1 takes the side s < Im lam, so the piece [lo, hi) holding
+    Im lam adds 2 pi e^{lam t} p(mu).
+    """
+    with mp.workdps(30):
+        lam, t = mp.mpc(lam), mp.mpf(t)
+        mu, it = -1j * lam, mp.mpc(0, t)
+        total = mp.mpc(0)
+        for lo, hi, coeffs in _COMPLEMENTS[kernel_name]:
+            q, acc = [], mp.mpc(0)
+            for c in reversed(coeffs[1:]):
+                acc = acc * mu + c
+                q.insert(0, acc)
+            p_mu = mp.polyval(list(reversed(coeffs)), mu)
+
+            def primitive(s):
+                if mp.isinf(s):
+                    return mp.mpc(0)
+                s = mp.mpf(s)
+                moments = sum(
+                    qj * mp.exp(it * s) * sum(
+                        (-1) ** m * mp.factorial(j) / mp.factorial(j - m)
+                        * s ** (j - m) / it ** (m + 1) for m in range(j + 1))
+                    for j, qj in enumerate(q))
+                z = mp.mpc(t * lam.real, t * (lam.imag - s))
+                return (-1j * moments
+                        + p_mu * 1j * mp.exp(it * s) * mp.exp(z) * mp.e1(z))
+
+            total += primitive(hi) - primitive(lo)
+            if lo <= lam.imag < hi:
+                total += 2 * mp.pi * mp.exp(lam * t) * p_mu
+        return float(abs(total) / (2 * mp.pi))
+
+
 class TestDefectEngine:
     def test_single_mode_matches_frequency_route(self):
         # independent route: f*phi(t) = (1/2pi) int e^{ist} F(s) psi(s) ds
         # with F(s) = w/(is - lam), integrated over the compact support
-        lam = -0.3 + 2.0j
-        w = 1.0
-        t = 6.0
-        spec = QuadratureSpec(oscillation_frequency=max(abs(t), 1.0))
-        res = integrate(
-            lambda s: np.exp(1j * s * t) * (w / (1j * s - lam))
-            * TENT.freq_eval(np.asarray(s)),
-            -1.0, 1.0, spec)
-        direct = abs(w * np.exp(lam * t) - res.value / (2.0 * math.pi))
+        lam, w, t = -0.3 + 2.0j, 1.0, 6.0
+        direct = _quad_defect(lam, w, TENT, t)
         profile, _ = convolution_defect_profile(
             np.array([lam]), np.array([w + 0j]), TENT, np.array([t]))
         assert profile[0] == pytest.approx(direct, rel=1e-7)
 
-    def test_heavily_damped_modes_report_zero(self):
-        # e^{Re lam * t} below double-precision relevance is clipped to 0
+    def test_heavily_damped_mode_matches_mpmath(self):
+        # |Re lam| t = 1000: the mode's orbit is negligible, but its defect
+        # is the phi-tail spread of its mass, O(phi(t)/|lam|)
         profile, _ = convolution_defect_profile(
             np.array([-100.0 + 1j]), np.array([1.0 + 0j]), TENT,
             np.array([10.0]))
-        assert profile[0] == 0.0
+        assert profile[0] == pytest.approx(7.165064028985e-5, rel=1e-9)
+
+    @pytest.mark.parametrize("kernel", [TENT, FUDGE], ids=["tent", "fudge"])
+    @settings(max_examples=60, deadline=None)
+    @given(sigma=st.floats(min_value=-5.0, max_value=2.0).map(lambda e: 10.0 ** e),
+           omega=st.one_of(st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0]),
+                           st.floats(min_value=-3.0, max_value=3.0)),
+           t=st.floats(min_value=-1.0, max_value=4.0).map(lambda e: 10.0 ** e))
+    def test_closed_form_matches_mpmath(self, kernel, sigma, omega, t):
+        lam = complex(-sigma, omega)
+        profile, _ = convolution_defect_profile(
+            np.array([lam]), np.array([1.0 + 0j]), kernel, np.array([t]))
+        assert profile[0] == pytest.approx(
+            _mpmath_defect(lam, t, kernel.name), rel=1e-9)
 
     def test_argmax_points_at_dominant_mode(self):
         lams = np.array([-5.0 + 1j, -0.1 + 3j])
@@ -108,6 +178,17 @@ class TestMollifierRate:
         assert report.constant_stability > 2.0
         assert not report.passed
         assert any("stability" in f for f in report.failures)
+
+    def test_fudge_kernel_matches_frequency_route(self):
+        scenario = Scenario(single_mode(-1.0 + 1j), "vector")
+        lam = complex(scenario.operator.eigenvalues[0])
+        w = complex(mode_weights(scenario)[0])
+        report = check_mollifier_rate(scenario, FUDGE, r_list=(4.0, 8.0),
+                                      t_max=5.0, points=9)
+        for R, E, _, _ in report.rows:
+            direct = max(_quad_defect(lam, w, FUDGE, t, R)
+                         for t in np.linspace(1.0, 5.0, 9))
+            assert E == pytest.approx(direct, rel=1e-7)
 
     def test_zero_vector_gives_zero_error(self):
         op = single_mode(-1.0 + 1j)
@@ -149,13 +230,11 @@ class TestAsymptoticRegularity:
 
     def test_stability_limit_is_enforced_honestly(self):
         # every mode of this model is damped well away from the plateau
-        # edge, so the defect falls faster than C/t and a factor-2 gate
-        # records a failure.  The engine's factor ~173 comes from a
-        # clipped profile: at t = 1e3 it reports 1.50e-6 because it sets
-        # modes with |Re lambda| t > 45 to 0, while the frequency route
-        # gives modes 2, 3 and 4 defects of 2.26e-6, 2.32e-6 and 1.76e-6.
-        # The oracle's mode defects at t = 10 and t = 1e3 put the factor
-        # near 110; either way it stays above 2.
+        # edge, so the defect falls faster than C/t (fitted slope -2.07)
+        # and a factor-2 gate records a failure: t * defect varies by a
+        # factor of about 120 over [10, 1e3].  Every mode is evaluated,
+        # however damped; at t = 1e3 the sup comes from mode 3, whose
+        # |Re lambda| t is about 111.
         scenario = Scenario(cluster_zero(2.0, 100), "vector")
         report = check_asymptotic_regularity(
             scenario, TENT, t_grid=np.geomspace(10.0, 1e3, 21),

@@ -66,7 +66,6 @@ from .kernels import (
     KernelTabulationError,
     bump_kernel,
     fudge_kernel,
-    leibniz_tail,
     numeric_fourier,
     tail_integral,
     tent_kernel,
@@ -82,7 +81,6 @@ from .semigroup_lab import (
     mode_weights,
     orbit_argmax,
     orbit_norm,
-    orbit_values,
     resolvent_envelope_decay,
     resolvent_envelope_growth,
     resolvent_norm,
@@ -145,7 +143,6 @@ __all__ = [
     "bump_kernel",
     "numeric_fourier",
     "tail_integral",
-    "leibniz_tail",
     # semigroup lab
     "DiagonalOperator",
     "Scenario",
@@ -155,7 +152,6 @@ __all__ = [
     "cluster_zero",
     "mixed_cluster",
     "mode_weights",
-    "orbit_values",
     "orbit_norm",
     "orbit_argmax",
     "resolvent_norm",

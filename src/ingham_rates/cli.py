@@ -28,7 +28,8 @@ the full effective configuration, fitted slopes, and the pass/fail state
 of the experiment's invariants.  Exit status: 0 when all invariants pass,
 1 when an invariant fails or quadrature does not converge
 (:class:`NonConvergenceError`), 2 on configuration or other runtime errors
-(no files are written; runtime errors are reported with their class name).
+(no files are written; runtime errors are reported with the package module
+that raised them and their class name).
 
 Precedence: command-line flags override config-file fields, which
 override the ``INGHAM_RATES_TOL`` environment variable, which overrides
@@ -654,11 +655,25 @@ def _write_reports(cfg: RunConfig, rows, slopes, failures, meta, stability) -> N
         )
 
 
+def _failing_layer(exc: BaseException) -> str:
+    """The package module of the innermost traceback frame inside the package."""
+    layer = "cli"
+    tb = exc.__traceback__
+    while tb is not None:
+        module = tb.tb_frame.f_globals.get("__name__", "")
+        if module.startswith(f"{__package__}."):
+            layer = module.rpartition(".")[2]
+        tb = tb.tb_next
+    return layer
+
+
 def run(cfg: RunConfig) -> int:
     """Execute the configured experiment and write its reports.
 
     Returns 0 when every invariant passed, 1 when an invariant failed or
-    quadrature did not converge, 2 on any other runtime error.
+    quadrature did not converge, 2 on any other runtime error, printed as
+    ``error: [<layer>] <Class>: <message>`` with the package module that
+    raised it.
     """
     runner = _RUNNERS[cfg.experiment]
     try:
@@ -667,11 +682,8 @@ def run(cfg: RunConfig) -> int:
         _write_reports(cfg, [], {}, [f"not converged: {exc}"], {}, None)
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except RuntimeError as exc:  # a failure that is not quadrature's: name its type
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (RuntimeError, ValueError, OSError) as exc:
+        print(f"error: [{_failing_layer(exc)}] {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     try:
         _write_reports(cfg, rows, slopes, failures, meta, stability)

@@ -23,7 +23,7 @@ Near t = 0 the closed-form kernels switch to a 6-term Taylor series below
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -40,7 +40,6 @@ __all__ = [
     "bump_kernel",
     "numeric_fourier",
     "tail_integral",
-    "leibniz_tail",
 ]
 
 
@@ -338,10 +337,7 @@ def tail_integral(kernel: Kernel, t: float, spec: Optional[QuadratureSpec] = Non
     cutoff = kernel.time_cutoff
     if cutoff is None or t >= cutoff:
         return 0.0
-    res = integrate(kernel.time_eval, t, cutoff,
-                    QuadratureSpec(abs_tol=spec.abs_tol, rel_tol=spec.rel_tol,
-                                   max_subdivisions=spec.max_subdivisions,
-                                   oscillation_frequency=1.0))
+    res = integrate(kernel.time_eval, t, cutoff, replace(spec, oscillation_frequency=1.0))
     return res.value
 
 
@@ -369,25 +365,10 @@ def numeric_fourier(kernel: Kernel, s: float, spec: Optional[QuadratureSpec] = N
                 total += val
         return 2.0 * total
     cutoff = kernel.time_cutoff or spec.truncation_radius
-    osc = QuadratureSpec(abs_tol=spec.abs_tol, rel_tol=spec.rel_tol,
-                         max_subdivisions=max(spec.max_subdivisions, 40000),
-                         oscillation_frequency=max(abs(s), 1.0))
+    osc = replace(spec, max_subdivisions=max(spec.max_subdivisions, 40000),
+                  oscillation_frequency=max(abs(s), 1.0))
     res = integrate(lambda t: kernel.time_eval(t) * np.cos(s * t), 0.0, cutoff, osc)
     if not res.converged:
         raise NonConvergenceError("transform integration did not converge")
     return 2.0 * res.value
 
-
-def leibniz_tail(envelope: Callable[[np.ndarray], np.ndarray], alpha: float, t: float,
-                 spec: Optional[QuadratureSpec] = None) -> float:
-    """Integral of envelope(s) * cos(alpha * s) over [t, inf).
-
-    For a positive non-increasing envelope the result is bounded by
-    ``(4 / alpha) * envelope(t)``: grouping the integrand over half-periods
-    of length pi/alpha yields an alternating series whose first term the
-    envelope controls.
-    """
-    res = integrate_oscillatory(envelope, alpha, t, spec=spec)
-    if not res.converged:
-        raise NonConvergenceError("half-period summation did not converge")
-    return float(res.value)

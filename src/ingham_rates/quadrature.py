@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
@@ -324,13 +324,7 @@ def integrate_oscillatory(
         m0 += 1
         s0 = (0.5 * math.pi + m0 * math.pi - phase) / alpha
 
-    head_spec = QuadratureSpec(
-        abs_tol=min(spec.abs_tol, 1e-12),
-        rel_tol=spec.rel_tol,
-        max_subdivisions=spec.max_subdivisions,
-        oscillation_frequency=alpha,
-        truncation_radius=spec.truncation_radius,
-    )
+    head_spec = replace(spec, abs_tol=min(spec.abs_tol, 1e-12), oscillation_frequency=alpha)
     head = integrate(lambda s: np.asarray(envelope(s)) * np.cos(alpha * s + phase), t_from, s0, head_spec)
 
     max_terms = 192
@@ -420,14 +414,7 @@ def integrate_semi_infinite(
         while tail_bound > budget and z < 1e12:
             z *= 2.0
             tail_bound = 4.0 * float(np.asarray(env(np.array([z])))[0]) / alpha
-        osc_spec = QuadratureSpec(
-            abs_tol=spec.abs_tol,
-            rel_tol=spec.rel_tol,
-            max_subdivisions=spec.max_subdivisions,
-            oscillation_frequency=alpha,
-            truncation_radius=spec.truncation_radius,
-        )
-        finite = integrate(f, a, z, osc_spec)
+        finite = integrate(f, a, z, replace(spec, oscillation_frequency=alpha))
     else:
         raise TypeError(f"unsupported decay hint: {decay_hint!r}")
 

@@ -108,7 +108,8 @@ class MonotoneFunction:
     functions extend constantly beyond their knot range; decay tables
     interpolate linearly in the reciprocal coordinate 1/r so that any
     pointwise lower bound of the form 1/r holding at the knots also holds
-    between them.
+    between them.  The ``envelope`` family holds the exact resolvent
+    envelopes of :mod:`ingham_rates.semigroup_lab`, evaluated on demand.
     """
 
     kind: str
@@ -119,8 +120,8 @@ class MonotoneFunction:
     def __post_init__(self) -> None:
         if self.kind not in ("growth", "decay"):
             raise ValueError("kind must be 'growth' or 'decay'")
-        if self.family not in ("power", "exponential", "constant", "tabulated"):
-            raise ValueError("family must be power, exponential, constant, or tabulated")
+        if self.family not in ("power", "exponential", "constant", "tabulated", "envelope"):
+            raise ValueError("family must be power, exponential, constant, tabulated, or envelope")
 
     def __call__(self, x):
         arr, scalar = _as_array(x)

@@ -16,11 +16,14 @@ Two eigenvalue families model the standard decay regimes:
   degenerates towards s = 0 and the singularity of the resolvent there
   governs the decay.
 
-Resolvent envelopes are tabulated running maxima over a grid refining every
-ordinate gap; growth envelopes dominate the true supremum everywhere
-because the sup over [0, R] only increases at the sampled peaks, and decay
-envelopes interpolate in 1/r so the lower clamp max(1, 1/r) holds between
-knots as well.
+Resolvent envelopes are the exact running suprema of the resolvent norm,
+computed on demand with no table.  Each mode's term 1/|i s - lambda_n|
+peaks at s = Im lambda_n with height 1/|Re lambda_n|, so the supremum over
+a frequency window is the larger of the norms at the window's ends and the
+highest peak inside it.  The end norms come from an exact nearest-mode
+search over the ordinates; the peaks from a running maximum over the
+sorted ordinates.  Growth envelopes take the sup over s_min <= |s| <= R,
+decay envelopes over r <= |s| <= 1 with the clamp max(1, 1/r).
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ __all__ = [
     "cluster_zero",
     "mixed_cluster",
     "mode_weights",
-    "orbit_values",
     "orbit_norm",
     "orbit_argmax",
     "resolvent_norm",
@@ -178,12 +180,6 @@ def mode_weights(scenario: Scenario) -> np.ndarray:
     return x.copy()
 
 
-def orbit_values(scenario: Scenario, t: float) -> np.ndarray:
-    """The orbit vector at time t, componentwise w_n * exp(lambda_n t)."""
-    lam = scenario.operator.eigenvalues
-    return mode_weights(scenario) * np.exp(lam * float(t))
-
-
 def _orbit_amplitudes(scenario: Scenario) -> np.ndarray:
     """|w_n| with x replaced by ones for the operator-norm orbit kinds."""
     lam = scenario.operator.eigenvalues
@@ -248,43 +244,41 @@ def boundary_function(scenario: Scenario, s: float, derivative: int = 0) -> np.n
 # -- resolvent envelopes ------------------------------------------------------
 
 
-def _nearest_distance(operator: DiagonalOperator, s_values: np.ndarray) -> np.ndarray:
-    """min_n |i s - lambda_n| for many s at once.
+def _folded_spectrum(operator: DiagonalOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Ordinates |Im lambda_n| in ascending order with the matching |Re lambda_n|.
 
-    Eigenvalues are sorted by ordinate; only a fixed window of
-    nearest-ordinate candidates can realise the minimum because a mode
-    whose ordinate is several gaps away is farther than the in-gap
-    candidates regardless of its real part.
+    For x >= 0, |i x - lambda_n| and |-i x - lambda_n| are at least the
+    distance from (x, 0) to (|Im lambda_n|, Re lambda_n), with equality for
+    one of the two signs, so the folded points carry both half-axes.
     """
     lam = operator.eigenvalues
-    order = np.argsort(lam.imag)
-    lam_sorted = lam[order]
-    taus = lam_sorted.imag
-    idx = np.searchsorted(taus, s_values)
-    best = np.full(s_values.shape, np.inf)
-    for off in range(-4, 5):
-        j = np.clip(idx + off, 0, lam_sorted.size - 1)
-        cand = np.abs(1j * s_values - lam_sorted[j])
-        best = np.minimum(best, cand)
-    return best
+    order = np.argsort(np.abs(lam.imag), kind="stable")
+    return np.abs(lam.imag)[order], np.abs(lam.real)[order]
 
 
-def _sample_points(anchors: np.ndarray, lo: float, hi: float,
-                   extra: Optional[np.ndarray], per_gap: int = 10) -> np.ndarray:
-    """Ordinates, gap midpoints, and a uniform per-gap refinement in [lo, hi]."""
-    pts = [np.array([lo, hi])]
-    anchors = np.unique(anchors[(anchors >= lo) & (anchors <= hi)])
-    if anchors.size:
-        pts.append(anchors)
-    edges = np.unique(np.concatenate([[lo], anchors, [hi]]))
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b > a:
-            pts.append(np.linspace(a, b, per_gap + 2)[1:-1])
-            pts.append(np.array([0.5 * (a + b)]))
-    if extra is not None:
-        extra = np.asarray(extra, dtype=float)
-        pts.append(extra[(extra >= lo) & (extra <= hi)])
-    return np.unique(np.concatenate(pts))
+def _resolvent_peak(ordinates: np.ndarray, damping: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """max(1, ||R(i x)||, ||R(-i x)||) for every x >= 0, exactly.
+
+    The eight modes nearest in ordinate give a first distance d.  A mode
+    outside that window can only matter if its ordinate lies within
+    min(1, d) of x (beyond 1 the clamp decides), so rows whose such range
+    leaves the window are rescanned over the whole range in one pass.
+    """
+    last = ordinates.size - 1
+    j = np.searchsorted(ordinates, x)
+    near = np.clip(j[:, None] + np.arange(-4, 4), 0, last)
+    d = np.sqrt(np.min(damping[near] ** 2 + (x[:, None] - ordinates[near]) ** 2, axis=1))
+    reach = np.minimum(d, 1.0)
+    lo = np.searchsorted(ordinates, x - reach)
+    hi = np.searchsorted(ordinates, x + reach, "right")
+    wide = np.flatnonzero((lo < j - 4) | (hi > j + 4))
+    if wide.size:
+        counts = hi[wide] - lo[wide]
+        starts = np.cumsum(counts) - counts
+        cols = np.arange(int(counts.sum())) + np.repeat(lo[wide] - starts, counts)
+        d2 = damping[cols] ** 2 + (np.repeat(x[wide], counts) - ordinates[cols]) ** 2
+        d[wide] = np.sqrt(np.minimum.reduceat(d2, starts))
+    return 1.0 / np.minimum(d, 1.0)
 
 
 def resolvent_envelope_growth(
@@ -292,50 +286,54 @@ def resolvent_envelope_growth(
     r_grid: Optional[np.ndarray] = None,
     s_min: float = 0.0,
 ) -> MonotoneFunction:
-    """Tabulated non-decreasing majorant of sup_{s_min <= |s| <= R} ||R(i s)||.
+    """M(R) = max(1, sup_{s_min <= |s| <= R} ||R(i s)||), evaluated exactly on demand.
 
-    Sample abscissae are the eigenvalue ordinates, gap midpoints, ten
-    uniform points per gap, and any requested grid; both signs of s are
-    evaluated.  Values are running maxima clamped below at 1 and extend
-    constantly beyond the last knot.  ``s_min`` restricts the envelope to
+    Each mode's resolvent term peaks at s = Im lambda_n with height
+    1/|Re lambda_n|, so the supremum over the window is the larger of the
+    endpoint norms at s_min and R and the highest peak with ordinate in
+    [s_min, R] (a prefix maximum over the sorted ordinates).  Below s_min
+    the envelope is constant.  ``s_min`` restricts the envelope to
     frequencies |s| >= s_min (used when the low-frequency singularity is
-    handled by a separate decay envelope).
+    handled by a separate decay envelope).  ``r_grid`` is accepted for
+    compatibility and ignored: no table is built.
     """
-    taus = np.abs(operator.eigenvalues.imag)
-    hi = float(max(taus.max() + 1.0, 1.0, s_min + 1.0))
-    if r_grid is not None:
-        hi = max(hi, float(np.max(r_grid)))
-    pts = _sample_points(taus, float(s_min), hi, r_grid)
-    norms = np.maximum(
-        1.0 / _nearest_distance(operator, pts),
-        1.0 / _nearest_distance(operator, -pts),
-    )
-    values = np.maximum(np.maximum.accumulate(norms), 1.0)
-    return MonotoneFunction.tabulated_growth(pts, values)
+    ordinates, damping = _folded_spectrum(operator)
+    s_min = float(s_min)
+    keep = ordinates >= s_min
+    peaks_at = ordinates[keep]
+    highest = np.maximum.accumulate(np.concatenate([[1.0], 1.0 / damping[keep]]))
+    floor = _resolvent_peak(ordinates, damping, np.array([s_min]))
+
+    def evaluate(R: np.ndarray) -> np.ndarray:
+        R = np.maximum(R, s_min)
+        inner = highest[np.searchsorted(peaks_at, R, "right")]
+        return np.maximum(np.maximum(floor, inner), _resolvent_peak(ordinates, damping, R))
+
+    return MonotoneFunction("growth", "envelope", evaluate,
+                            f"resolvent growth[{operator.size} modes, |s| >= {s_min:g}]")
 
 
 def resolvent_envelope_decay(
     operator: DiagonalOperator,
     r_grid: Optional[np.ndarray] = None,
 ) -> MonotoneFunction:
-    """Tabulated non-increasing majorant of sup_{r <= |s| <= 1} ||R(i s)||.
+    """m(r) = max(1/r, sup_{r <= |s| <= 1} ||R(i s)||), evaluated exactly on demand.
 
-    Built like the growth envelope but accumulated from r = 1 downwards and
-    clamped below at max(1, 1/r); the reciprocal-coordinate interpolation
-    of decay tables keeps the clamp valid between knots.
+    The mirror of the growth envelope: the endpoint norms at r and 1 and
+    the highest peak with ordinate in [r, 1] (a suffix maximum over the
+    sorted ordinates), clamped below at max(1, 1/r).  ``r_grid`` is
+    accepted for compatibility and ignored: no table is built.
     """
-    taus = np.abs(operator.eigenvalues.imag)
-    inner = taus[(taus > 0.0) & (taus <= 1.0)]
-    lo = float(inner.min() / 2.0) if inner.size else 1e-3
-    if r_grid is not None:
-        lo = min(lo, float(np.min(r_grid)))
-    if not (0.0 < lo < 1.0):
-        raise ValueError("decay envelope needs a positive inner radius below 1")
-    pts = _sample_points(taus, lo, 1.0, r_grid)
-    norms = np.maximum(
-        1.0 / _nearest_distance(operator, pts),
-        1.0 / _nearest_distance(operator, -pts),
-    )
-    values = np.maximum.accumulate(norms[::-1])[::-1]
-    values = np.maximum(values, np.maximum(1.0, 1.0 / pts))
-    return MonotoneFunction.tabulated_decay(pts, values)
+    ordinates, damping = _folded_spectrum(operator)
+    keep = ordinates <= 1.0
+    peaks_at = ordinates[keep]
+    highest = np.maximum.accumulate(np.concatenate([1.0 / damping[keep], [1.0]])[::-1])[::-1]
+    floor = _resolvent_peak(ordinates, damping, np.array([1.0]))
+
+    def evaluate(r: np.ndarray) -> np.ndarray:
+        inner = highest[np.searchsorted(peaks_at, r, "left")]
+        peak = np.maximum(np.maximum(floor, inner), _resolvent_peak(ordinates, damping, r))
+        return np.maximum(peak, 1.0 / r)
+
+    return MonotoneFunction("decay", "envelope", evaluate,
+                            f"resolvent decay[{operator.size} modes]")

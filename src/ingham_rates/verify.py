@@ -33,7 +33,7 @@ suppress preasymptotic transients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -373,15 +373,11 @@ def check_parseval(scenario: Scenario, kernel: Kernel, t: float,
     for n in range(lam.size):
         freq_t = max(scale, abs(lam[n].imag), 1.0)
         u_lo = min(t - _EXP_CLIP / abs(lam[n].real), -_EXP_CLIP)
-        lspec = QuadratureSpec(abs_tol=base.abs_tol, rel_tol=base.rel_tol,
-                               max_subdivisions=base.max_subdivisions,
-                               oscillation_frequency=freq_t)
+        lspec = replace(base, oscillation_frequency=freq_t)
         lhs = _complex_integral(
             lambda u, n=n: kernel.time(u, scale) * w[n] * np.exp(lam[n] * (t - u)),
             u_lo, t, lspec)
-        rspec = QuadratureSpec(abs_tol=base.abs_tol, rel_tol=base.rel_tol,
-                               max_subdivisions=base.max_subdivisions,
-                               oscillation_frequency=max(abs(t), 1.0))
+        rspec = replace(base, oscillation_frequency=max(abs(t), 1.0))
         rhs = _complex_integral(
             lambda s, n=n: np.exp(1j * s * t) * (w[n] / (1j * s - lam[n]))
             * kernel.freq(s, scale),

@@ -451,6 +451,28 @@ c = 1.0
         assert (tmp_path / "oracle.csv").exists() == reports
         assert (tmp_path / "oracle.json").exists() == reports
 
+    def test_runtime_error_names_the_failing_layer(self, tmp_path, capsys):
+        # with 20 modes the ainv orbit's maximising mode reaches the
+        # truncated half of the family before t = 1e4, which compare_decay
+        # in the verify layer rejects
+        text = """
+[scenario]
+family = cluster_infinity
+alpha = 1.0
+n_modes = 20
+orbit = ainv
+
+[bound]
+variant = infinity_smooth
+"""
+        cfg_path = write_config(tmp_path, text)
+        out = tmp_path / "short"
+        assert cli.main(["decay", "--config", str(cfg_path),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [verify] TruncationRangeError: maximising mode")
+        assert not (tmp_path / "short.csv").exists()
+
     def test_unwritable_output_path_exits_two(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, MINIMAL_KERNEL)
         out = tmp_path / "no" / "such" / "dir" / "report"

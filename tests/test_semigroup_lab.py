@@ -19,7 +19,6 @@ from ingham_rates.semigroup_lab import (
     mode_weights,
     orbit_argmax,
     orbit_norm,
-    orbit_values,
     resolvent_envelope_decay,
     resolvent_envelope_growth,
     resolvent_norm,
@@ -131,8 +130,9 @@ class TestOrbits:
     @settings(max_examples=30, deadline=None)
     def test_semigroup_property_componentwise(self, t, s):
         sc = Scenario(cluster_zero(2.0, 8), "vector")
-        both = orbit_values(sc, t + s)
-        left = orbit_values(sc, t)
+        lam = sc.operator.eigenvalues
+        both = mode_weights(sc) * np.exp(lam * (t + s))
+        left = mode_weights(sc) * np.exp(lam * t)
         # divide out the weights once: e^{lam(t+s)} w = e^{lam t} e^{lam s} w
         factor = np.exp(sc.operator.eigenvalues * s)
         assert np.allclose(both, left * factor, rtol=1e-12, atol=1e-300)
@@ -229,7 +229,8 @@ class TestEnvelopes:
         assert np.allclose(vals, np.maximum(1.0, 1.0 / r), rtol=1e-12)
 
     def test_decay_envelope_non_increasing_and_dominating(self):
-        # domination is guaranteed at supplied grid points, so probe there
+        # the envelope is the exact running supremum, so it dominates at
+        # every r; r_grid is accepted and ignored
         op = cluster_zero(1.5, 300)
         r = np.geomspace(2e-3, 1.0, 800)
         m = resolvent_envelope_decay(op, r_grid=r)
@@ -238,6 +239,67 @@ class TestEnvelopes:
         norms = np.array([resolvent_norm(op, float(v)) for v in r])
         assert np.all(vals >= norms * (1.0 - 1e-9))
         assert np.all(vals >= 1.0 / r - 1e-9)
+
+
+def _brute_envelope(lam: np.ndarray, lo: float, hi: float) -> float:
+    """max(1, sup of ||R(i s)|| over lo <= |s| <= hi), by brute force.
+
+    Each mode's term 1/|i s - lambda_n| is unimodal with its peak at
+    Im lambda_n, so the supremum sits at +-lo, +-hi or an in-range +-Im lambda_n.
+    """
+    marks = np.abs(lam.imag)
+    xs = np.concatenate([[lo, hi], marks[(marks >= lo) & (marks <= hi)]])
+    xs = np.concatenate([xs, -xs])
+    dist = np.min(np.abs(1j * xs[:, None] - lam[None, :]), axis=1)
+    return max(1.0, float(np.max(1.0 / dist)))
+
+
+_spectra = st.integers(min_value=1, max_value=40).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(min_value=-3.0, max_value=1.5), min_size=n, max_size=n),
+    st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=n, max_size=n),
+))
+
+
+class TestExactEnvelopes:
+    @given(_spectra, st.sampled_from([0.0, 1.0]), st.sampled_from(["growth", "decay"]),
+           st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=1, max_size=8))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_brute_force_and_dominates_dense_scan(self, spectrum, s_min, side, fractions):
+        log_damping, ordinates = spectrum
+        lam = -(10.0 ** np.array(log_damping)) + 1j * np.array(ordinates)
+        op = DiagonalOperator(lam)
+        if side == "growth":
+            env = resolvent_envelope_growth(op, s_min=s_min)
+            x = s_min + 4.0 * np.array(fractions)
+            want = [_brute_envelope(lam, s_min, v) for v in x]
+            scan = np.linspace(s_min, x.max(), 2001)
+        else:
+            env = resolvent_envelope_decay(op)
+            x = np.array(fractions)
+            want = [max(1.0 / v, _brute_envelope(lam, v, 1.0)) for v in x]
+            scan = np.linspace(x.min(), 1.0, 2001)
+        assert env(x) == pytest.approx(np.array(want), rel=1e-12)
+        # the supremum of the norm over the dense scan up to (from) each point
+        norms = np.max(1.0 / np.min(np.abs(
+            1j * np.concatenate([scan, -scan])[:, None] - lam[None, :]), axis=1).reshape(2, -1),
+            axis=0)
+        running = (np.maximum.accumulate(norms) if side == "growth"
+                   else np.maximum.accumulate(norms[::-1])[::-1])
+        assert np.all(env(scan) >= running * (1.0 - 1e-12))
+
+    def test_window_of_nearest_ordinates_is_not_enough(self):
+        # 100 heavily damped modes crowd the ordinates near 0, so the mode
+        # that sets the norm at s = 0 and s = 0.05 is 100 ordinates away
+        k = np.arange(1, 101)
+        op = DiagonalOperator(np.concatenate([-100.0 + 0.001j * k, [-0.001 + 0.2j]]))
+        M = resolvent_envelope_growth(op)
+        assert float(M(0.0)) == pytest.approx(4.9999375, rel=1e-7)
+        assert float(M(0.05)) == pytest.approx(6.66651852, rel=1e-8)
+        assert float(M(0.2)) == pytest.approx(1000.0, rel=1e-12)
+
+    def test_decay_clamp_holds_below_every_ordinate(self):
+        m = resolvent_envelope_decay(single_mode(-1.0))
+        assert float(m(1e-4)) == pytest.approx(1e4, rel=1e-12)
 
 
 class TestBoundaryFunction:

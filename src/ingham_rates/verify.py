@@ -40,7 +40,6 @@ import numpy as np
 from numpy.polynomial import Polynomial
 from numpy.polynomial.legendre import leggauss
 from numpy.polynomial.polynomial import polyval
-from scipy.special import exp1
 
 from .kernels import Kernel, tail_integral
 from .quadrature import NonConvergenceError, QuadratureSpec, integrate
@@ -120,7 +119,11 @@ def fit_loglog(pairs: Sequence[tuple]) -> tuple[float, float]:
 _CHUNK = 1 << 18  # (mode, point) pairs held in memory at once
 _SERIES_RADIUS = 40.0  # |z| from which e^z E1(z) is summed asymptotically
 _SERIES_TERMS = 40
-_FRACTION_DEPTH = 60
+# the continued fraction for e^z E1(z) takes, on each band of |z| from
+# [4, 12) to [32, 40), the depth that brings it to about 1e-15 on
+# |Im z| = 4 + |Re z|/2, where it converges slowest
+_FRACTION_EDGES = np.array([12.0, 16.0, 24.0, 32.0])
+_FRACTION_DEPTHS = np.array([50, 38, 28, 18, 12])
 _GL_NODES, _GL_WEIGHTS = leggauss(16)
 _PANEL_WIDTH = 0.5 * math.pi
 # e^{-45} < 3e-20: the panel route reports modes with |Re lambda| t beyond
@@ -151,23 +154,42 @@ def _complement_pieces(kernel: Kernel) -> tuple[np.ndarray, list]:
 def _g_near(x: np.ndarray) -> np.ndarray:
     """G(x) = e^x E1(x), principal branch, for |x| < 40 and Re x <= 0.
 
-    Where |Im x| >= 4 + |Re x|/2 a 60-level continued fraction
-    ``G = 1/(x+1 - 1/(x+3 - 4/(x+5 - ...)))`` is accurate to 5e-16 and
-    about four times cheaper than scipy's exp1, which takes the rest: the
-    fraction converges slowly near 0 and near the cut, the negative real
-    axis.
+    Where |Im x| >= 4 + |Re x|/2 the continued fraction
+    ``G = 1/(x+1 - 1/(x+3 - 4/(x+5 - ...)))`` is cut at the depth that
+    ``_FRACTION_DEPTHS`` gives for |x|.  It converges slowly near 0 and near
+    the cut, the negative real axis, so the rest sums the convergent series
+    ``E1(x) = -gamma - Log x - sum_{k>=1} (-x)^k / (k k!)`` to
+    k = e max|x| + 25.  There the sum of its terms' moduli exceeds |E1|
+    by at most e^{|x| - |Re x|} < e^6, so little cancels.  np.log keeps the sign
+    of a zero Im x: on the cut, Im x = +0.0 takes the side Im x > 0 and
+    -0.0 the side Im x < 0.
     """
     g = np.empty(x.shape, dtype=complex)
     frac = np.abs(x.imag) >= 4.0 + 0.5 * np.abs(x.real)
-    z = x[frac]
-    f = z + (2 * _FRACTION_DEPTH + 1)
-    for k in range(_FRACTION_DEPTH, 0, -1):  # f = (z + 2k - 1) - k^2 / f, in place
-        np.divide(-(k * k), f, out=f)
-        f += z
-        f += 2 * k - 1
-    g[frac] = 1.0 / f
+    # points sorted deepest first, so that each level updates a prefix; an
+    # int8 band makes the stable sort a radix sort
+    idx = np.flatnonzero(frac)
+    band = np.searchsorted(_FRACTION_EDGES, np.abs(x[idx]), side="right").astype(np.int8)
+    idx = idx[np.argsort(band, kind="stable")]
+    depth = np.repeat(_FRACTION_DEPTHS, np.bincount(band, minlength=_FRACTION_DEPTHS.size))
+    levels = np.arange(_FRACTION_DEPTHS[0], 0, -1)
+    active = np.searchsorted(-depth, -levels, side="right")  # points with depth >= k
+    z = x[idx]
+    f = z + (2 * depth + 1)
+    for k, m in zip(levels.tolist(), active.tolist()):  # f = (z + 2k - 1) - k^2 / f, in place
+        fk = f[:m]
+        np.divide(-(k * k), fk, out=fk)
+        fk += z[:m]
+        fk += 2 * k - 1
+    g[idx] = 1.0 / f
+
     rest = x[~frac]
-    g[~frac] = np.exp(rest) * exp1(rest)
+    k = np.arange(1, math.ceil(math.e * np.max(np.abs(rest), initial=0.0)) + 26)
+    tail = np.empty_like(rest)
+    step = _CHUNK // k.size
+    for i in range(0, rest.size, step):  # terms (-x)^k / k! as one running product
+        tail[i:i + step] = np.cumprod(-rest[i:i + step, None] / k, axis=1) @ (1.0 / k)
+    g[~frac] = np.exp(rest) * (-np.euler_gamma - np.log(rest) - tail)
     return g
 
 
@@ -180,7 +202,7 @@ def _jump_terms(x: np.ndarray, w: np.ndarray, t: np.ndarray, taylor: np.ndarray)
     terms are written as w^{k-1-n} q^{n+1}, which stays finite as x -> 0.
     Beyond, the series is summed from term k on:
     w^k R_k = y k! (-q)^k T_k(y) with y = 1/x and T_k = 1 - (k+1) y T_{k+1},
-    so nothing cancels and exp1's overflow at Re x < -700 is never reached.
+    so nothing cancels, as it would in G minus its first k terms.
     """
     out = np.empty(x.shape, dtype=complex)
     q = -1j / t

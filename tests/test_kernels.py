@@ -248,3 +248,41 @@ def test_cli_import_leaves_scipy_interpolate_to_the_bump_kernel():
                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "bump"
+
+
+_CLOSED_FORM_RUNS = {
+    "regularity": ("asymptotic_regularity", "tent",
+                   "[grid]\nmin = 10\nmax = 1000\npoints = 11\nspacing = log\n"),
+    "mollifier": ("mollifier_rate", "fudge", ""),
+    "parseval": ("parseval", "tent", ""),
+}
+
+
+def test_cli_runs_on_closed_form_kernels_load_no_scipy(tmp_path):
+    # tent and fudge defects take e^z E1(z) from the package itself, so
+    # importing scipy (about 0.35 s) would be paid for nothing
+    paths = []
+    for name, (experiment, kernel, extra) in _CLOSED_FORM_RUNS.items():
+        path = tmp_path / f"{name}.ini"
+        path.write_text(
+            f"[experiment]\nname = {experiment}\n\n"
+            "[scenario]\nfamily = cluster_zero\nbeta = 2\nn_modes = 4\norbit = vector\n\n"
+            f"[kernel]\nname = {kernel}\n\n{extra}\n[output]\npath = {name}\n",
+            encoding="utf-8")
+        paths.append(str(path))
+    code = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "from ingham_rates import cli\n"
+        "for path in sys.argv[1:]:\n"
+        "    rc = cli.run(cli.parse_config(Path(path).read_text(encoding='utf-8')))\n"
+        "    assert rc in (0, 1), (path, rc)\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code, *paths], capture_output=True,
+                         text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+    assert all((tmp_path / f"{name}.csv").is_file() for name in _CLOSED_FORM_RUNS)

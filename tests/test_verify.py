@@ -20,6 +20,7 @@ from ingham_rates.semigroup_lab import (
 from ingham_rates.verify import (
     AdmissibilityError,
     TruncationRangeError,
+    _g_near,
     check_asymptotic_regularity,
     check_mollifier_rate,
     check_parseval,
@@ -115,6 +116,35 @@ def _mpmath_defect(lam, t, kernel_name):
         return float(abs(total) / (2 * mp.pi))
 
 
+def _mpmath_g(x):
+    """e^x E1(x) at 30 digits.  mpmath has no signed zero and takes the
+    side Im x > 0 of the cut, so the side Im x = -0.0 comes from
+    G(conj x) = conj G(x)."""
+    if math.copysign(1.0, x.imag) < 0.0:
+        return _mpmath_g(x.conjugate()).conjugate()
+    with mp.workdps(30):
+        z = mp.mpc(x.real, x.imag)
+        return complex(mp.exp(z) * mp.e1(z))
+
+
+def _g_near_points():
+    """Points with Re x <= 0 and |x| < 40 on both sides of the cut, at
+    |x| -> 0 and -> 40, on both sides of |Im x| = 4 + |Re x|/2 and on both
+    sides of every depth-band edge of the continued fraction."""
+    radii = np.geomspace(1e-12, 39.999, 30)
+    cut = -radii + 0j
+    turns = -np.exp(1j * np.linspace(-0.5 * np.pi, 0.5 * np.pi, 9))
+    ends = np.outer([1e-12, 1e-6, 1e-2, 39.0, 39.999], turns)
+    edges = np.array([12.0, 16.0, 24.0, 32.0])
+    arc_radii = np.concatenate([[4.0, 5.0, 6.0, 8.0, 10.0, 14.0, 20.0, 28.0, 36.0, 39.999],
+                                edges * (1.0 - 1e-9), edges * (1.0 + 1e-9)])
+    # |Re x| = a on the arc solves a^2 + (4 + a/2)^2 = r^2; points on it
+    # take the continued fraction, points just below it the series
+    a = (np.sqrt(5.0 * arc_radii ** 2 - 64.0) - 4.0) / 2.5
+    arc = np.concatenate([-a + 1j * (4.0 + 0.5 * a) * scale for scale in (1.0, 1.0 - 1e-9)])
+    return np.concatenate([cut, cut.conj(), ends.ravel(), arc, arc.conj()])
+
+
 class TestDefectEngine:
     def test_single_mode_matches_frequency_route(self):
         # independent route: f*phi(t) = (1/2pi) int e^{ist} F(s) psi(s) ds
@@ -145,6 +175,16 @@ class TestDefectEngine:
             np.array([lam]), np.array([1.0 + 0j]), kernel, np.array([t]))
         assert profile[0] == pytest.approx(
             _mpmath_defect(lam, t, kernel.name), rel=1e-9)
+
+    def test_g_near_matches_mpmath(self):
+        x = _g_near_points()
+        ref = np.array([_mpmath_g(v) for v in x])
+        rel = np.abs(_g_near(x) - ref) / np.abs(ref)
+        assert rel.max() <= 1e-13, x[rel.argmax()]
+        # the continued fraction's depth bands are meant for about 1e-15:
+        # one band cut to the next row's depth still stays below 1e-13
+        frac = np.abs(x.imag) >= 4.0 + 0.5 * np.abs(x.real)
+        assert rel[frac].max() <= 5e-15, x[frac][rel[frac].argmax()]
 
     def test_argmax_points_at_dominant_mode(self):
         lams = np.array([-5.0 + 1j, -0.1 + 3j])

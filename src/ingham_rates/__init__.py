@@ -4,7 +4,7 @@ The package is organised in six modules:
 
 ``quadrature``
     Adaptive Gauss-Kronrod integration with oscillation-aware panel
-    splitting and semi-infinite tails driven by decay hints.
+    splitting, and oscillatory tails summed over half-periods.
 ``rate_functions``
     Monotone resolvent-growth/decay profiles, the composed rate functions
     they induce, numerical inversion, and the six closed-form decay
@@ -28,16 +28,11 @@ The package is organised in six modules:
 
 from .quadrature import (
     EnvelopeError,
-    ExponentialDecay,
     NonConvergenceError,
-    NonIntegrableTailError,
-    OscillatoryDecay,
-    PolynomialDecay,
     QuadResult,
     QuadratureSpec,
     integrate,
     integrate_oscillatory,
-    integrate_semi_infinite,
 )
 from .rate_functions import (
     BoundDomainError,
@@ -48,15 +43,7 @@ from .rate_functions import (
     RateBound,
     SearchBracketError,
     VARIANTS,
-    ck_decay_fn,
-    ck_decay_rate,
-    ck_growth_fn,
-    ck_growth_rate,
     invert_monotone,
-    log_decay_fn,
-    log_decay_rate,
-    log_growth_fn,
-    log_growth_rate,
     make_bound,
     raw_bound_ck,
     raw_bound_smooth,
@@ -105,15 +92,10 @@ __all__ = [
     # quadrature
     "QuadratureSpec",
     "QuadResult",
-    "ExponentialDecay",
-    "PolynomialDecay",
-    "OscillatoryDecay",
     "EnvelopeError",
-    "NonIntegrableTailError",
     "NonConvergenceError",
     "integrate",
     "integrate_oscillatory",
-    "integrate_semi_infinite",
     # rate functions
     "MonotoneFunction",
     "ComposedRate",
@@ -123,14 +105,6 @@ __all__ = [
     "BoundDomainError",
     "InadmissibleConstantError",
     "VARIANTS",
-    "ck_growth_rate",
-    "log_growth_rate",
-    "ck_decay_rate",
-    "log_decay_rate",
-    "ck_growth_fn",
-    "log_growth_fn",
-    "ck_decay_fn",
-    "log_decay_fn",
     "invert_monotone",
     "make_bound",
     "raw_bound_ck",

@@ -166,25 +166,23 @@ def _default_tolerances() -> dict:
             base = float(env)
         except ValueError:
             base = None
-        if base is not None and base > 0.0:
+        if base is not None and 0.0 < base < math.inf:
             return {"abs_tol": base, "rel_tol": 10.0 * base}
     return {"abs_tol": 1e-10, "rel_tol": 1e-9}
 
 
 def _convert(section: str, key: str, raw: str, errors: list):
     kind = _SCHEMA[section][key]
-    try:
-        if kind == "float":
-            return float(raw)
-        if kind == "int":
-            as_float = float(raw)
-            if as_float != int(as_float):
-                raise ValueError
-            return int(as_float)
+    if kind == "str":
         return raw.strip()
+    try:
+        value = float(raw)
     except ValueError:
+        value = math.nan
+    if not math.isfinite(value) or (kind == "int" and value != int(value)):
         errors.append(f"[{section}] {key}={raw!r} is not a valid {kind}")
         return None
+    return int(value) if kind == "int" else value
 
 
 def _check_enum(cfg: dict, section: str, key: str, allowed, errors: list) -> None:
@@ -326,6 +324,8 @@ def parse_config(text: str, experiment: Optional[str] = None,
         cfg["r_sweep"] = sweep
         try:
             values = [float(v) for v in sweep["values"].split(",")]
+            if not all(map(math.isfinite, values)):
+                raise ValueError
         except ValueError:
             values = None
             errors.append("[r_sweep] values must be a comma-separated float list")

@@ -204,30 +204,30 @@ def _smoothstep(u: np.ndarray, sharpness: float) -> np.ndarray:
     return g_lo / (g_lo + g_hi)
 
 
-def bump_kernel(transition_sharpness: float = 1.0, *, time_cutoff: float = 1000.0,
-                table_points: int = 40001) -> Kernel:
+_BUMP_TIME_CUTOFF = 1000.0
+_BUMP_TABLE_POINTS = 40001
+
+
+def bump_kernel(transition_sharpness: float = 1.0) -> Kernel:
     """Kernel whose transform is an infinitely smooth plateau function.
 
     The transform is 1 on |s| <= 1/2, descends through an exponential
     smoothstep on 1/2 <= |s| <= 1, and vanishes beyond.  The time profile is
-    the inverse transform, tabulated on [-time_cutoff, time_cutoff] by
-    Gauss-Legendre quadrature and interpolated with a cubic spline; it is
-    treated as zero outside the window.  Construction verifies unit mass to
-    1e-8 (the truncated tail is estimated by the half-period cancellation
-    bound from the boundary envelope) and records ``max |phi(t)| t^4`` over
-    the table.  Results are cached per parameter triple.
+    the inverse transform, tabulated at ``_BUMP_TABLE_POINTS`` points of
+    [-_BUMP_TIME_CUTOFF, _BUMP_TIME_CUTOFF] by Gauss-Legendre quadrature and
+    interpolated with a cubic spline; it is treated as zero outside the
+    window.  Construction verifies unit mass to 1e-8 (the truncated tail is
+    estimated by the half-period cancellation bound from the boundary
+    envelope) and records ``max |phi(t)| t^4`` over the table.  Results are
+    cached per sharpness.
     """
-    return _build_bump(float(transition_sharpness), float(time_cutoff), int(table_points))
+    return _build_bump(float(transition_sharpness))
 
 
 @lru_cache(maxsize=8)
-def _build_bump(transition_sharpness: float, time_cutoff: float, table_points: int) -> Kernel:
+def _build_bump(transition_sharpness: float) -> Kernel:
     if transition_sharpness <= 0.0 or transition_sharpness > 100.0:
         raise ValueError("transition_sharpness must lie in (0, 100]")
-    if time_cutoff < 50.0:
-        raise ValueError("time_cutoff must be at least 50")
-    if table_points < 2001:
-        raise ValueError("table_points must be at least 2001")
 
     beta = transition_sharpness
 
@@ -242,13 +242,13 @@ def _build_bump(transition_sharpness: float, time_cutoff: float, table_points: i
     s_weights = 0.25 * weights
     psi_nodes = freq_eval(s_nodes)
 
-    t_grid = np.linspace(0.0, time_cutoff, table_points)
+    t_grid = np.linspace(0.0, _BUMP_TIME_CUTOFF, _BUMP_TABLE_POINTS)
     phi = np.empty_like(t_grid)
     t_safe = np.where(t_grid == 0.0, 1.0, t_grid)
     head = np.where(t_grid == 0.0, 0.5, np.sin(0.5 * t_safe) / t_safe)
     chunk = 2048
-    for lo in range(0, table_points, chunk):
-        hi = min(lo + chunk, table_points)
+    for lo in range(0, _BUMP_TABLE_POINTS, chunk):
+        hi = min(lo + chunk, _BUMP_TABLE_POINTS)
         phi[lo:hi] = np.cos(np.outer(t_grid[lo:hi], s_nodes)) @ (s_weights * psi_nodes)
     phi = (head + phi) / math.pi
 
@@ -265,20 +265,18 @@ def _build_bump(transition_sharpness: float, time_cutoff: float, table_points: i
     # The profile oscillates under a decreasing envelope at the ramp-centre
     # frequency 3/4, so the discarded tail is at most (4 / (3/4)) * envelope
     # at the window edge.
-    edge = t_grid >= 0.95 * time_cutoff
+    edge = t_grid >= 0.95 * _BUMP_TIME_CUTOFF
     tail_estimate = (16.0 / 3.0) * float(np.max(np.abs(phi[edge])))
-    mass = float(spline.integrate(-time_cutoff, time_cutoff))
+    mass = float(spline.integrate(-_BUMP_TIME_CUTOFF, _BUMP_TIME_CUTOFF))
     defect = abs(mass - 1.0) + tail_estimate
     if defect > 1e-8:
         raise KernelTabulationError(
             f"grid resolution insufficient: kernel mass deviates from 1 by {defect:.3e}"
         )
 
-    cutoff = float(time_cutoff)
-
     def time_eval(t: np.ndarray) -> np.ndarray:
         arr = np.asarray(t, dtype=float)
-        inside = np.abs(arr) <= cutoff
+        inside = np.abs(arr) <= _BUMP_TIME_CUTOFF
         out = np.zeros_like(arr)
         if np.any(inside):
             out[inside] = spline(arr[inside])
@@ -291,7 +289,7 @@ def _build_bump(transition_sharpness: float, time_cutoff: float, table_points: i
         flat_near_zero=True,
         plateau_radius=0.5,
         tail_mass_defect=defect,
-        time_cutoff=cutoff,
+        time_cutoff=_BUMP_TIME_CUTOFF,
         peak_value=float(np.max(np.abs(phi))),
         quartic_decay_constant=quartic,
     )
@@ -364,10 +362,9 @@ def numeric_fourier(kernel: Kernel, s: float, spec: Optional[QuadratureSpec] = N
                 val, _ = _component_tail(0.5 * coef, trig, f_shift, power, 1.0, spec)
                 total += val
         return 2.0 * total
-    cutoff = kernel.time_cutoff or spec.truncation_radius
     osc = replace(spec, max_subdivisions=max(spec.max_subdivisions, 40000),
                   oscillation_frequency=max(abs(s), 1.0))
-    res = integrate(lambda t: kernel.time_eval(t) * np.cos(s * t), 0.0, cutoff, osc)
+    res = integrate(lambda t: kernel.time_eval(t) * np.cos(s * t), 0.0, kernel.time_cutoff, osc)
     if not res.converged:
         raise NonConvergenceError("transform integration did not converge")
     return 2.0 * res.value

@@ -1,13 +1,13 @@
 """Numerical integration primitives.
 
 Finite intervals are handled by adaptive bisection with an embedded
-Gauss(7)/Kronrod(15) rule pair.  Semi-infinite integrals are reduced to a
-finite window whose truncation point is chosen from a caller-supplied tail
-hint.  Oscillatory tails of the form ``envelope(s) * cos(alpha*s + phase)``
-with a positive non-increasing envelope are summed over half-periods; the
-resulting alternating series is truncated once a term falls below a floor,
-or -- when the envelope decays too slowly for direct truncation -- summed by
-iterated averaging of the partial sums.
+Gauss(7)/Kronrod(15) rule pair; complex integrands are integrated as two
+real ones.  Oscillatory tails of the form
+``envelope(s) * cos(alpha*s + phase)`` with a positive non-increasing
+envelope are summed over half-periods; the resulting alternating series is
+truncated once a term falls below a floor, or -- when the envelope decays
+too slowly for direct truncation -- summed by iterated averaging of the
+partial sums.
 
 All integrand callables must accept a one-dimensional numpy array and
 return an array of the same shape.
@@ -25,24 +25,15 @@ import numpy as np
 __all__ = [
     "QuadratureSpec",
     "QuadResult",
-    "ExponentialDecay",
-    "PolynomialDecay",
-    "OscillatoryDecay",
     "EnvelopeError",
-    "NonIntegrableTailError",
     "NonConvergenceError",
     "integrate",
     "integrate_oscillatory",
-    "integrate_semi_infinite",
 ]
 
 
 class EnvelopeError(ValueError):
     """Raised when an oscillatory envelope is not positive and non-increasing."""
-
-
-class NonIntegrableTailError(ValueError):
-    """Raised when a tail hint implies a divergent integral."""
 
 
 class NonConvergenceError(RuntimeError):
@@ -83,6 +74,8 @@ _GAUSS_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
 _WEIGHTS_G = np.concatenate([_GAUSS_WPOS[:-1], _GAUSS_WPOS[::-1]])
 
 _GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# magnitude of the half-period term at which integrate_oscillatory stops
+_TERM_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -91,15 +84,12 @@ class QuadratureSpec:
 
     ``oscillation_frequency`` pre-splits finite intervals into panels no
     wider than half the hinted period before adaptive refinement starts.
-    ``truncation_radius`` is the minimum window used when a semi-infinite
-    integral is reduced to a finite one.
     """
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
     max_subdivisions: int = 10000
     oscillation_frequency: Optional[float] = None
-    truncation_radius: float = 50.0
 
     def __post_init__(self) -> None:
         if self.abs_tol <= 0.0:
@@ -110,8 +100,6 @@ class QuadratureSpec:
             raise ValueError("max_subdivisions must be at least 1")
         if self.oscillation_frequency is not None and self.oscillation_frequency <= 0.0:
             raise ValueError("oscillation_frequency must be positive when given")
-        if self.truncation_radius <= 0.0:
-            raise ValueError("truncation_radius must be positive")
 
 
 class QuadResult(NamedTuple):
@@ -120,49 +108,6 @@ class QuadResult(NamedTuple):
     value: Union[float, complex]
     error: float
     converged: bool
-
-
-@dataclass(frozen=True)
-class ExponentialDecay:
-    """Tail hint: |f(s)| decays at least like exp(-rate * s)."""
-
-    rate: float
-
-    def __post_init__(self) -> None:
-        if self.rate <= 0.0:
-            raise ValueError("exponential decay rate must be positive")
-
-
-@dataclass(frozen=True)
-class PolynomialDecay:
-    """Tail hint: |f(s)| decays at least like s**(-power) with power > 1."""
-
-    power: float
-
-    def __post_init__(self) -> None:
-        if self.power <= 1.0:
-            raise NonIntegrableTailError(
-                "polynomial tail with power <= 1 is not integrable without oscillation"
-            )
-
-
-@dataclass(frozen=True)
-class OscillatoryDecay:
-    """Tail hint: f oscillates at ``frequency`` under a decreasing envelope.
-
-    The envelope need not be integrable; half-period cancellation bounds the
-    discarded tail by ``4 * envelope(Z) / frequency``.
-    """
-
-    frequency: float
-    envelope: Callable[[np.ndarray], np.ndarray]
-
-    def __post_init__(self) -> None:
-        if self.frequency <= 0.0:
-            raise ValueError("oscillation frequency must be positive")
-
-
-DecayHint = Union[ExponentialDecay, PolynomialDecay, OscillatoryDecay]
 
 
 def _panel_estimate(f: Callable, a: float, b: float) -> tuple[float, float]:
@@ -298,7 +243,6 @@ def integrate_oscillatory(
     *,
     phase: float = 0.0,
     spec: Optional[QuadratureSpec] = None,
-    term_tol: float = 1e-14,
 ) -> QuadResult:
     """Integrate ``envelope(s) * cos(alpha*s + phase)`` over [t_from, inf).
 
@@ -306,7 +250,7 @@ def integrate_oscillatory(
     partial panel is integrated adaptively; subsequent half-period terms
     form an alternating series with decreasing magnitudes (because the
     envelope is positive and non-increasing), which is truncated once a
-    term falls below ``term_tol`` -- the first omitted term bounds the
+    term falls below ``_TERM_TOL`` -- the first omitted term bounds the
     remainder.  If 192 terms do not reach the floor, the partial sums are
     contracted by iterated averaging instead.
     """
@@ -339,12 +283,12 @@ def integrate_oscillatory(
             raise EnvelopeError(
                 "half-period magnitudes increased; envelope must be positive and non-increasing"
             )
-        if mags[-1] <= term_tol:
+        if mags[-1] <= _TERM_TOL:
             truncated = True
             break
 
     if truncated:
-        keep = int(np.argmax(np.abs(terms) <= term_tol)) + 1
+        keep = int(np.argmax(np.abs(terms) <= _TERM_TOL)) + 1
         series = float(np.sum(terms[:keep]))
         series_err = float(np.abs(terms[keep - 1])) + 1e-15 * keep
     else:
@@ -356,68 +300,3 @@ def integrate_oscillatory(
     error = head.error + series_err
     converged = head.converged and error <= max(spec.abs_tol, spec.rel_tol * abs(value)) * 10.0
     return QuadResult(value, error, converged)
-
-
-def _probe_scale(f: Callable, points: np.ndarray, weight: np.ndarray) -> float:
-    vals = np.abs(np.asarray(f(points))) * weight
-    finite = vals[np.isfinite(vals)]
-    if finite.size == 0:
-        raise ValueError("tail probe found no finite integrand values")
-    return float(np.max(finite))
-
-
-def integrate_semi_infinite(
-    f: Callable,
-    a: float,
-    decay_hint: DecayHint,
-    spec: Optional[QuadratureSpec] = None,
-) -> QuadResult:
-    """Integrate ``f`` over [a, inf) using a tail hint to pick the window.
-
-    The window edge Z is chosen so the hinted tail bound beyond Z is below
-    ``abs_tol / 2``; that bound is folded into the returned error estimate
-    and the finite part [a, Z] is integrated adaptively.
-    """
-    if spec is None:
-        spec = QuadratureSpec()
-    if not math.isfinite(a):
-        raise ValueError("lower endpoint must be finite")
-    budget = 0.5 * spec.abs_tol
-
-    if isinstance(decay_hint, ExponentialDecay):
-        rate = decay_hint.rate
-        probes = a + np.linspace(0.0, 5.0 / rate, 33)
-        scale = _probe_scale(f, probes, np.exp(rate * (probes - a)))
-        z = a + max(
-            spec.truncation_radius / rate,
-            math.log(max(1.0, scale / (rate * budget))) / rate,
-        )
-        tail_bound = scale * math.exp(-rate * (z - a)) / rate
-        finite = integrate(f, a, z, spec)
-    elif isinstance(decay_hint, PolynomialDecay):
-        p = decay_hint.power
-        lo = max(a, 1e-3)
-        probes = np.geomspace(lo, (lo + 1.0) * 100.0, 33)
-        scale = _probe_scale(f, probes, probes**p)
-        z = max(
-            a + spec.truncation_radius,
-            (scale / ((p - 1.0) * budget)) ** (1.0 / (p - 1.0)),
-        )
-        z = min(z, 1e14)
-        tail_bound = scale * z ** (1.0 - p) / (p - 1.0)
-        finite = integrate(f, a, z, spec)
-    elif isinstance(decay_hint, OscillatoryDecay):
-        alpha = decay_hint.frequency
-        env = decay_hint.envelope
-        z = max(a + 1.0, spec.truncation_radius)
-        tail_bound = 4.0 * float(np.asarray(env(np.array([z])))[0]) / alpha
-        while tail_bound > budget and z < 1e12:
-            z *= 2.0
-            tail_bound = 4.0 * float(np.asarray(env(np.array([z])))[0]) / alpha
-        finite = integrate(f, a, z, replace(spec, oscillation_frequency=alpha))
-    else:
-        raise TypeError(f"unsupported decay hint: {decay_hint!r}")
-
-    error = finite.error + tail_bound
-    converged = finite.converged and tail_bound <= budget
-    return QuadResult(finite.value, error, converged)

@@ -11,10 +11,11 @@ decay estimates:
 * unlimited smoothness:  ``M_log(R) = M(R) * (log(1+R) + log M(R))`` and
   ``m_log(r) = m(r) * log(1 + m(r)/r)``.
 
-Inverting these compositions at ``c*t`` yields the decay bounds produced by
-:func:`make_bound`; :func:`raw_bound_ck` and :func:`raw_bound_smooth`
-minimise the un-optimised two-term estimates directly so the closed forms
-can be cross-checked against an independent search.
+:class:`ComposedRate` evaluates all four.  Inverting these compositions at
+``c*t`` yields the decay bounds produced by :func:`make_bound`;
+:func:`raw_bound_ck` and :func:`raw_bound_smooth` minimise the un-optimised
+two-term estimates directly so the closed forms can be cross-checked
+against an independent search.
 """
 
 from __future__ import annotations
@@ -34,14 +35,6 @@ __all__ = [
     "BoundDomainError",
     "InadmissibleConstantError",
     "VARIANTS",
-    "ck_growth_rate",
-    "log_growth_rate",
-    "ck_decay_rate",
-    "log_decay_rate",
-    "ck_growth_fn",
-    "log_growth_fn",
-    "ck_decay_fn",
-    "log_decay_fn",
     "invert_monotone",
     "make_bound",
     "raw_bound_ck",
@@ -101,27 +94,24 @@ def _ret(arr: np.ndarray, scalar: bool):
 
 @dataclass(frozen=True)
 class MonotoneFunction:
-    """A growth or decay rate function with family-tagged evaluation.
+    """A growth or decay rate function, evaluated on arrays.
 
     ``kind`` is ``"growth"`` (non-decreasing on [0, inf)) or ``"decay"``
     (non-increasing on (0, 1]); values always lie in [1, inf).  Tabulated
     functions extend constantly beyond their knot range; decay tables
     interpolate linearly in the reciprocal coordinate 1/r so that any
     pointwise lower bound of the form 1/r holding at the knots also holds
-    between them.  The ``envelope`` family holds the exact resolvent
-    envelopes of :mod:`ingham_rates.semigroup_lab`, evaluated on demand.
+    between them.  The exact resolvent envelopes of
+    :mod:`ingham_rates.semigroup_lab` are rate functions evaluated on demand.
     """
 
     kind: str
-    family: str
     evaluator: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     label: str = ""
 
     def __post_init__(self) -> None:
         if self.kind not in ("growth", "decay"):
             raise ValueError("kind must be 'growth' or 'decay'")
-        if self.family not in ("power", "exponential", "constant", "tabulated", "envelope"):
-            raise ValueError("family must be power, exponential, constant, tabulated, or envelope")
 
     def __call__(self, x):
         arr, scalar = _as_array(x)
@@ -142,20 +132,20 @@ class MonotoneFunction:
         """M(R) = (1 + R)**alpha with alpha > 0."""
         if alpha <= 0.0:
             raise ValueError("power growth exponent must be positive")
-        return cls("growth", "power", lambda R: (1.0 + R) ** alpha, f"(1+R)^{alpha:g}")
+        return cls("growth", lambda R: (1.0 + R) ** alpha, f"(1+R)^{alpha:g}")
 
     @classmethod
     def exponential_growth(cls, alpha: float) -> "MonotoneFunction":
         """M(R) = exp(R**alpha) with alpha > 0."""
         if alpha <= 0.0:
             raise ValueError("exponential growth exponent must be positive")
-        return cls("growth", "exponential", lambda R: np.exp(R**alpha), f"exp(R^{alpha:g})")
+        return cls("growth", lambda R: np.exp(R**alpha), f"exp(R^{alpha:g})")
 
     @classmethod
     def constant_growth(cls, value: float = 1.0) -> "MonotoneFunction":
         if value < 1.0:
             raise ValueError("constant rate value must be at least 1")
-        return cls("growth", "constant", lambda R: np.full_like(R, value), f"{value:g}")
+        return cls("growth", lambda R: np.full_like(R, value), f"{value:g}")
 
     @classmethod
     def tabulated_growth(cls, knots, values) -> "MonotoneFunction":
@@ -169,11 +159,7 @@ class MonotoneFunction:
             raise ValueError("rate values must be at least 1")
         if np.any(np.diff(values) < 0.0):
             raise ValueError("tabulated growth values must be non-decreasing")
-        return cls(
-            "growth", "tabulated",
-            lambda R: np.interp(R, knots, values),
-            f"table[{knots.size}]",
-        )
+        return cls("growth", lambda R: np.interp(R, knots, values), f"table[{knots.size}]")
 
     # -- decay families ----------------------------------------------------
 
@@ -182,20 +168,20 @@ class MonotoneFunction:
         """m(r) = r**(-alpha) with alpha > 0."""
         if alpha <= 0.0:
             raise ValueError("power decay exponent must be positive")
-        return cls("decay", "power", lambda r: r ** (-alpha), f"r^-{alpha:g}")
+        return cls("decay", lambda r: r ** (-alpha), f"r^-{alpha:g}")
 
     @classmethod
     def exponential_decay(cls, alpha: float) -> "MonotoneFunction":
         """m(r) = exp(r**(-alpha)) with alpha > 0."""
         if alpha <= 0.0:
             raise ValueError("exponential decay exponent must be positive")
-        return cls("decay", "exponential", lambda r: np.exp(r ** (-alpha)), f"exp(r^-{alpha:g})")
+        return cls("decay", lambda r: np.exp(r ** (-alpha)), f"exp(r^-{alpha:g})")
 
     @classmethod
     def constant_decay(cls, value: float = 1.0) -> "MonotoneFunction":
         if value < 1.0:
             raise ValueError("constant rate value must be at least 1")
-        return cls("decay", "constant", lambda r: np.full_like(r, value), f"{value:g}")
+        return cls("decay", lambda r: np.full_like(r, value), f"{value:g}")
 
     @classmethod
     def tabulated_decay(cls, knots, values) -> "MonotoneFunction":
@@ -212,56 +198,11 @@ class MonotoneFunction:
         # Interpolate in w = 1/r, where the table is non-decreasing.
         w_knots = 1.0 / knots[::-1]
         w_values = values[::-1]
-        return cls(
-            "decay", "tabulated",
-            lambda r: np.interp(1.0 / r, w_knots, w_values),
-            f"table[{knots.size}]",
-        )
+        return cls("decay", lambda r: np.interp(1.0 / r, w_knots, w_values),
+                   f"table[{knots.size}]")
 
 
 # -- compositions -----------------------------------------------------------
-
-
-def ck_growth_rate(growth: MonotoneFunction, k: int, R):
-    """M_k(R) = M(R) * ((1+R)**2 * M(R))**(1/k)."""
-    _require_kind(growth, "growth")
-    _require_k(k)
-    arr, scalar = _as_array(R)
-    M = np.asarray(growth(arr), dtype=float)
-    with np.errstate(over="ignore"):
-        out = M * np.exp((2.0 * np.log1p(arr) + np.log(M)) / k)
-    return _ret(out, scalar)
-
-
-def log_growth_rate(growth: MonotoneFunction, R):
-    """M_log(R) = M(R) * (log(1+R) + log M(R))."""
-    _require_kind(growth, "growth")
-    arr, scalar = _as_array(R)
-    M = np.asarray(growth(arr), dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = M * (np.log1p(arr) + np.log(M))
-    return _ret(out, scalar)
-
-
-def ck_decay_rate(decay: MonotoneFunction, k: int, r):
-    """m_k(r) = m(r) * (m(r)/r)**(1/k)."""
-    _require_kind(decay, "decay")
-    _require_k(k)
-    arr, scalar = _as_array(r)
-    m = np.asarray(decay(arr), dtype=float)
-    with np.errstate(over="ignore"):
-        out = m * np.exp((np.log(m) - np.log(arr)) / k)
-    return _ret(out, scalar)
-
-
-def log_decay_rate(decay: MonotoneFunction, r):
-    """m_log(r) = m(r) * log(1 + m(r)/r)."""
-    _require_kind(decay, "decay")
-    arr, scalar = _as_array(r)
-    m = np.asarray(decay(arr), dtype=float)
-    with np.errstate(over="ignore"):
-        out = m * np.log1p(m / arr)
-    return _ret(out, scalar)
 
 
 def _require_kind(fn, kind: str) -> None:
@@ -276,56 +217,48 @@ def _require_k(k) -> None:
 
 @dataclass(frozen=True)
 class ComposedRate:
-    """A ck- or log-composition of a rate function, usable for inversion.
+    """The composition of a rate function that a bound inverts.
 
-    Strictly monotone even when the source is tabulated with flat
-    stretches, because the composition mixes in log(1+R) (growth) or 1/r
-    (decay).
+    ``M_k`` (growth source) or ``m_k`` (decay source) for an integer ``k``;
+    ``M_log`` or ``m_log`` for ``k=None``.  Strictly monotone even where
+    the source is flat, because the composition mixes in log(1+R) (growth)
+    or 1/r (decay).
     """
 
-    kind: str
-    transform: str
     source: MonotoneFunction
     k: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.transform not in ("ck", "log"):
-            raise ValueError("transform must be 'ck' or 'log'")
-        if self.transform == "ck":
+        if getattr(self.source, "kind", None) not in ("growth", "decay"):
+            raise ValueError("source must be a growth or decay rate function")
+        if self.k is not None:
             _require_k(self.k)
 
+    @property
+    def kind(self) -> str:
+        return self.source.kind
+
     def __call__(self, x):
-        if self.kind == "growth":
-            if self.transform == "ck":
-                return ck_growth_rate(self.source, self.k, x)
-            return log_growth_rate(self.source, x)
-        if self.transform == "ck":
-            return ck_decay_rate(self.source, self.k, x)
-        return log_decay_rate(self.source, x)
-
-
-def ck_growth_fn(growth: MonotoneFunction, k: int) -> ComposedRate:
-    _require_kind(growth, "growth")
-    return ComposedRate("growth", "ck", growth, k)
-
-
-def log_growth_fn(growth: MonotoneFunction) -> ComposedRate:
-    _require_kind(growth, "growth")
-    return ComposedRate("growth", "log", growth)
-
-
-def ck_decay_fn(decay: MonotoneFunction, k: int) -> ComposedRate:
-    _require_kind(decay, "decay")
-    return ComposedRate("decay", "ck", decay, k)
-
-
-def log_decay_fn(decay: MonotoneFunction) -> ComposedRate:
-    _require_kind(decay, "decay")
-    return ComposedRate("decay", "log", decay)
+        arr, scalar = _as_array(x)
+        v = np.asarray(self.source(arr), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.kind == "growth":
+                if self.k is None:
+                    out = v * (np.log1p(arr) + np.log(v))
+                else:
+                    out = v * np.exp((2.0 * np.log1p(arr) + np.log(v)) / self.k)
+            elif self.k is None:
+                out = v * np.log1p(v / arr)
+            else:
+                out = v * np.exp((np.log(v) - np.log(arr)) / self.k)
+        return _ret(out, scalar)
 
 
 # -- inversion ---------------------------------------------------------------
 
+
+# relative residual at which a bisection stops
+_TOL_REL = 1e-10
 
 # Per kind: the domain edge, the first far end of the bracket, the factor
 # that pushes it outwards, the maps x -> u and u -> x of the bisection
@@ -348,13 +281,13 @@ def _libm(fn, values: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, values.tolist()), dtype=float, count=values.size)
 
 
-def _invert(f, y: np.ndarray, tol_rel: float = 1e-10) -> tuple[np.ndarray, dict]:
+def _invert(f, y: np.ndarray) -> tuple[np.ndarray, dict]:
     """Solve f(x) = y for every element of the 1-d target array y.
 
     Growth functions are solved on [0, inf) by geometric bracket expansion
     followed by bisection in log(1+x); decay functions on (0, 1] by the
     mirrored procedure in log(1/x).  An element stops when
-    ``|f(x) - y| <= tol_rel * max(1, |y|)``.  All elements share each
+    ``|f(x) - y| <= _TOL_REL * max(1, |y|)``.  All elements share each
     evaluation of f, and every element takes the steps the one-target
     search would take, so each result is bitwise the scalar one.
 
@@ -370,7 +303,7 @@ def _invert(f, y: np.ndarray, tol_rel: float = 1e-10) -> tuple[np.ndarray, dict]
     finite = np.isfinite(y)
     failures = {i: ValueError("inversion target must be finite")
                 for i in np.flatnonzero(~finite).tolist()}
-    slack = tol_rel * np.maximum(1.0, np.abs(y))
+    slack = _TOL_REL * np.maximum(1.0, np.abs(y))
 
     edge = float(f(edge_x))
     below = finite & (y < edge - slack)
@@ -426,15 +359,15 @@ def _invert(f, y: np.ndarray, tol_rel: float = 1e-10) -> tuple[np.ndarray, dict]
     return x, failures
 
 
-def invert_monotone(f, y: float, tol_rel: float = 1e-10) -> float:
+def invert_monotone(f, y: float) -> float:
     """Solve f(x) = y for a monotone rate function or composition.
 
     The one-target form of the array search used by :class:`RateBound`:
     same bracket, same bisection, same stop rule
-    ``|f(x) - y| <= tol_rel * max(1, |y|)``.  Targets outside the attained
+    ``|f(x) - y| <= _TOL_REL * max(1, |y|)``.  Targets outside the attained
     range raise :class:`InversionRangeError` reporting the range edge.
     """
-    x, failures = _invert(f, np.array([y], dtype=float), tol_rel)
+    x, failures = _invert(f, np.array([y], dtype=float))
     if failures:
         raise failures[0]
     return float(x[0])
@@ -535,12 +468,12 @@ def make_bound(
         if growth is None:
             raise ValueError(f"variant {variant} requires a growth rate function")
         _require_kind(growth, "growth")
-        growth_fn = ck_growth_fn(growth, k_val) if is_ck else log_growth_fn(growth)
+        growth_fn = ComposedRate(growth, k_val)
     if needs_decay:
         if decay is None:
             raise ValueError(f"variant {variant} requires a decay rate function")
         _require_kind(decay, "decay")
-        decay_fn = ck_decay_fn(decay, k_val) if is_ck else log_decay_fn(decay)
+        decay_fn = ComposedRate(decay, k_val)
 
     parts = []
     if growth_fn is not None:
@@ -670,7 +603,7 @@ def raw_bound_ck(growth: MonotoneFunction, k: int, c: float, t):
             return np.where(np.isfinite(M), val, np.inf)
         return logf
 
-    return _raw_minima(logf_at, ck_growth_fn(growth, k), c, t)
+    return _raw_minima(logf_at, ComposedRate(growth, k), c, t)
 
 
 def raw_bound_smooth(growth: MonotoneFunction, c: float, t):
@@ -691,4 +624,4 @@ def raw_bound_smooth(growth: MonotoneFunction, c: float, t):
             return np.where(np.isfinite(M), np.logaddexp(big, 0.0) - u, np.inf)
         return logf
 
-    return _raw_minima(logf_at, log_growth_fn(growth), c, t)
+    return _raw_minima(logf_at, ComposedRate(growth), c, t)

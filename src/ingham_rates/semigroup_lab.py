@@ -309,7 +309,7 @@ def resolvent_envelope_growth(
         inner = highest[np.searchsorted(peaks_at, R, "right")]
         return np.maximum(np.maximum(floor, inner), _resolvent_peak(ordinates, damping, R))
 
-    return MonotoneFunction("growth", "envelope", evaluate,
+    return MonotoneFunction("growth", evaluate,
                             f"resolvent growth[{operator.size} modes, |s| >= {s_min:g}]")
 
 
@@ -335,5 +335,5 @@ def resolvent_envelope_decay(
         peak = np.maximum(np.maximum(floor, inner), _resolvent_peak(ordinates, damping, r))
         return np.maximum(peak, 1.0 / r)
 
-    return MonotoneFunction("decay", "envelope", evaluate,
+    return MonotoneFunction("decay", evaluate,
                             f"resolvent decay[{operator.size} modes]")

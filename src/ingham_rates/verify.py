@@ -81,7 +81,6 @@ class ExperimentReport:
     rows: list
     slopes: dict = field(default_factory=dict)
     constant_stability: Optional[float] = None
-    converged: bool = True
     passed: bool = True
     failures: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
@@ -367,14 +366,6 @@ def convolution_defect_profile(
 # -- experiments ---------------------------------------------------------------
 
 
-def _complex_integral(f, a: float, b: float, spec: QuadratureSpec) -> complex:
-    re = integrate(lambda u: np.real(f(u)), a, b, spec)
-    im = integrate(lambda u: np.imag(f(u)), a, b, spec)
-    if not (re.converged and im.converged):
-        raise NonConvergenceError("quadrature did not converge in Parseval check")
-    return re.value + 1j * im.value
-
-
 def check_parseval(scenario: Scenario, kernel: Kernel, t: float,
                    scale: float = 1.0, spec: Optional[QuadratureSpec] = None) -> float:
     """Residual of the convolution inversion identity at time t.
@@ -395,16 +386,16 @@ def check_parseval(scenario: Scenario, kernel: Kernel, t: float,
     for n in range(lam.size):
         freq_t = max(scale, abs(lam[n].imag), 1.0)
         u_lo = min(t - _EXP_CLIP / abs(lam[n].real), -_EXP_CLIP)
-        lspec = replace(base, oscillation_frequency=freq_t)
-        lhs = _complex_integral(
+        lhs = integrate(
             lambda u, n=n: kernel.time(u, scale) * w[n] * np.exp(lam[n] * (t - u)),
-            u_lo, t, lspec)
-        rspec = replace(base, oscillation_frequency=max(abs(t), 1.0))
-        rhs = _complex_integral(
+            u_lo, t, replace(base, oscillation_frequency=freq_t))
+        rhs = integrate(
             lambda s, n=n: np.exp(1j * s * t) * (w[n] / (1j * s - lam[n]))
             * kernel.freq(s, scale),
-            -scale, scale, rspec) / (2.0 * math.pi)
-        resid = max(resid, abs(lhs - rhs))
+            -scale, scale, replace(base, oscillation_frequency=max(abs(t), 1.0)))
+        if not (lhs.converged and rhs.converged):
+            raise NonConvergenceError("quadrature did not converge in Parseval check")
+        resid = max(resid, abs(lhs.value - rhs.value / (2.0 * math.pi)))
     return resid
 
 

@@ -89,6 +89,17 @@ spacing = cubic
 """
 
 
+REGULARITY_CLUSTER = """
+[scenario]
+family = cluster_zero
+beta = 2.0
+n_modes = 20
+
+[kernel]
+name = tent
+"""
+
+
 def write_config(tmp_path, text, name="config.ini"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -163,6 +174,13 @@ class TestConfigParsing:
         assert cfg["r_sweep"]["values"] == [4.0, 8.0, 16.0, 32.0]
         assert cfg["r_sweep"]["t_max"] == pytest.approx(20.0)
 
+    @pytest.mark.parametrize("values", ["4,8,nan,32", "4,8,16,inf"])
+    def test_non_finite_sweep_radius_is_a_config_error(self, values):
+        text = PARSEVAL_SINGLE_MODE + f"\n[r_sweep]\nvalues = {values}\n"
+        with pytest.raises(ConfigError) as info:
+            parse_config(text, experiment="mollifier_rate")
+        assert info.value.errors == ["[r_sweep] values must be a comma-separated float list"]
+
     def test_scenario_defaults(self):
         cfg = parse_config(PARSEVAL_SINGLE_MODE, experiment="parseval")
         assert cfg["scenario"]["omega"] == pytest.approx(1.0)
@@ -188,10 +206,29 @@ class TestConfigParsing:
         assert cfg["tolerances"]["abs_tol"] == pytest.approx(1e-12)
         assert cfg["tolerances"]["rel_tol"] == pytest.approx(1e-7)
 
-    def test_unparseable_env_var_falls_back_to_defaults(self, monkeypatch):
-        monkeypatch.setenv("INGHAM_RATES_TOL", "strict")
+    @pytest.mark.parametrize("env", ["strict", "inf", "nan"])
+    def test_unparseable_env_var_falls_back_to_defaults(self, monkeypatch, env):
+        monkeypatch.setenv("INGHAM_RATES_TOL", env)
         cfg = parse_config(MINIMAL_KERNEL, experiment="kernel_check")
         assert cfg["tolerances"] == {"abs_tol": 1e-10, "rel_tol": 1e-9}
+
+    @pytest.mark.parametrize("raw", ["1e400", "inf", "-inf", "nan"])
+    def test_int_key_out_of_float_range_is_a_config_error(self, raw):
+        text = REGULARITY_CLUSTER.replace("n_modes = 20", f"n_modes = {raw}")
+        with pytest.raises(ConfigError,
+                           match=rf"\[scenario\] n_modes={raw!r} is not a valid int"):
+            parse_config(text, experiment="asymptotic_regularity")
+
+    @pytest.mark.parametrize("section, key", [
+        ("tolerances", "abs_tol"), ("tolerances", "rel_tol"), ("scenario", "omega"),
+    ])
+    @pytest.mark.parametrize("raw", ["inf", "nan", "1e400"])
+    def test_non_finite_float_is_a_config_error(self, section, key, raw):
+        text = (REGULARITY_CLUSTER + "\n[tolerances]\n").replace(
+            f"[{section}]\n", f"[{section}]\n{key} = {raw}\n")
+        with pytest.raises(ConfigError) as info:
+            parse_config(text, experiment="asymptotic_regularity")
+        assert info.value.errors == [f"[{section}] {key}={raw!r} is not a valid float"]
 
     def test_kernel_check_requires_closed_form_kernel(self):
         with pytest.raises(ConfigError, match="requires tent or fudge"):
@@ -403,6 +440,17 @@ values = 4,8
         assert err.count("config error:") == 8
         leftovers = {p.name for p in tmp_path.iterdir()} - {cfg_path.name}
         assert leftovers == set()
+
+    def test_int_overflow_exits_two_without_files(self, tmp_path, capsys):
+        text = REGULARITY_CLUSTER.replace("n_modes = 20", "n_modes = 1e400")
+        cfg_path = write_config(tmp_path, text)
+        rc = cli.main(["regularity", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "reg")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error: [scenario] n_modes='1e400' is not a valid int" in err
+        assert "Traceback" not in err
+        assert {p.name for p in tmp_path.iterdir()} == {cfg_path.name}
 
     def test_missing_config_file_exits_two(self, tmp_path, capsys):
         rc = cli.main(["kernel", "--config", str(tmp_path / "absent.ini")])

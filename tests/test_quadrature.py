@@ -13,16 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ingham_rates.quadrature import (
-    ExponentialDecay,
-    NonIntegrableTailError,
-    OscillatoryDecay,
-    PolynomialDecay,
-    QuadratureSpec,
-    integrate,
-    integrate_oscillatory,
-    integrate_semi_infinite,
-)
+from ingham_rates.quadrature import QuadratureSpec, integrate, integrate_oscillatory
 
 # mpmath mp.quad, dps=40, on the exact finite interval stated
 GAUSS_COS2_0_5 = 0.32602466608761105169       # int_0^5 exp(-x^2) cos(2x) dx
@@ -32,7 +23,6 @@ COMPLEX_0_4 = 0.06559085377236342734 + 0.36387723627494631398j
 # mpmath quadosc, confirmed by panel summation to within the tail bound
 OSC_SIN2_P15_FROM1 = 0.02272777028504895657   # int_1^inf sin(2u) u^{-3/2} du
 OSC_COS3_P2_FROM2 = 0.04175881678201275989    # int_2^inf cos(3u) u^{-2} du
-EXP_COS_FROM1 = -0.055396882653349628908      # int_1^inf e^{-u} cos(u) du
 
 
 class TestFiniteInterval:
@@ -112,38 +102,6 @@ class TestOscillatoryTail:
         head = integrate(lambda u: np.cos(alpha * u) / u ** 2, t_from, zero)
         tail = integrate_oscillatory(lambda u: u ** -2.0, alpha, zero)
         assert whole.value == pytest.approx(head.value + tail.value, abs=1e-9)
-
-
-class TestSemiInfinite:
-    def test_exponential_hint(self):
-        res = integrate_semi_infinite(lambda u: np.exp(-u) * np.cos(u), 1.0,
-                                      ExponentialDecay(1.0))
-        assert res.value == pytest.approx(EXP_COS_FROM1, abs=1e-10)
-
-    def test_polynomial_hint(self):
-        res = integrate_semi_infinite(lambda u: (1 + u) ** -3.0, 0.0,
-                                      PolynomialDecay(3.0))
-        assert res.value == pytest.approx(0.5, abs=1e-9)
-
-    def test_polynomial_tail_must_be_integrable(self):
-        with pytest.raises(NonIntegrableTailError):
-            integrate_semi_infinite(lambda u: 1.0 / u, 1.0, PolynomialDecay(1.0))
-        with pytest.raises(NonIntegrableTailError):
-            integrate_semi_infinite(lambda u: u ** -0.5, 1.0, PolynomialDecay(0.5))
-
-    def test_oscillatory_hint_matches_direct_tail(self):
-        # the slowly decaying envelope forces a window cap, so the result is
-        # flagged non-converged with an honest (coarser) error bar
-        hint = OscillatoryDecay(3.0, lambda u: u ** -2.0)
-        res = integrate_semi_infinite(lambda u: np.cos(3 * u) / u ** 2, 2.0, hint)
-        assert abs(res.value - OSC_COS3_P2_FROM2) <= res.error
-        assert res.error < 1e-5
-
-    def test_window_truncation_error_is_reported(self):
-        res = integrate_semi_infinite(lambda u: np.exp(-u), 0.0,
-                                      ExponentialDecay(1.0))
-        assert abs(res.value - 1.0) <= max(res.error, 1e-12)
-        assert res.error < 1e-8
 
 
 class TestProperties:

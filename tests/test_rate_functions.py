@@ -10,19 +10,12 @@ from hypothesis import strategies as st
 from ingham_rates.rate_functions import (
     _C_RANGES,
     BoundDomainError,
+    ComposedRate,
     InadmissibleConstantError,
     InversionRangeError,
     MonotoneFunction,
     VARIANTS,
-    ck_decay_fn,
-    ck_decay_rate,
-    ck_growth_fn,
-    ck_growth_rate,
     invert_monotone,
-    log_decay_fn,
-    log_decay_rate,
-    log_growth_fn,
-    log_growth_rate,
     make_bound,
     raw_bound_ck,
     raw_bound_smooth,
@@ -38,74 +31,74 @@ from ingham_rates.semigroup_lab import (
 class TestGrowthRates:
     def test_linear_growth_k2_at_3(self):
         M = MonotoneFunction.power_growth(1.0)
-        assert ck_growth_rate(M, 2, 3.0) == pytest.approx(32.0, rel=1e-14)
+        assert ComposedRate(M, 2)(3.0) == pytest.approx(32.0, rel=1e-14)
 
     def test_constant_growth_k2_at_99(self):
         M = MonotoneFunction.constant_growth(1.0)
-        assert ck_growth_rate(M, 2, 99.0) == pytest.approx(100.0, rel=1e-14)
+        assert ComposedRate(M, 2)(99.0) == pytest.approx(100.0, rel=1e-14)
 
     def test_power_growth_exponent_law(self):
         # (1+R)^alpha composes to (1+R)^(alpha+(alpha+2)/k); alpha=1, k=2
         # gives exponent 5/2
         M = MonotoneFunction.power_growth(1.0)
         for R in (0.5, 3.0, 40.0, 1e3):
-            assert ck_growth_rate(M, 2, R) == pytest.approx(
+            assert ComposedRate(M, 2)(R) == pytest.approx(
                 (1.0 + R) ** 2.5, rel=1e-12)
 
     def test_log_variant_linear_growth(self):
         M = MonotoneFunction.power_growth(1.0)
-        assert log_growth_rate(M, math.e - 1.0) == pytest.approx(
+        assert ComposedRate(M)(math.e - 1.0) == pytest.approx(
             2.0 * math.e, rel=1e-12)
 
     def test_log_variant_constant_growth(self):
         M = MonotoneFunction.constant_growth(1.0)
-        assert log_growth_rate(M, 0.0) == 0.0
+        assert ComposedRate(M)(0.0) == 0.0
         for R in (0.3, 2.0, 9.0):
-            assert log_growth_rate(M, R) == pytest.approx(math.log1p(R), rel=1e-14)
+            assert ComposedRate(M)(R) == pytest.approx(math.log1p(R), rel=1e-14)
 
     def test_log_variant_exponential_growth(self):
         M = MonotoneFunction.exponential_growth(1.0)
-        assert log_growth_rate(M, 1.0) == pytest.approx(
+        assert ComposedRate(M)(1.0) == pytest.approx(
             math.e * (math.log(2.0) + 1.0), rel=1e-12)
 
     def test_strictly_increasing_in_radius(self):
         M = MonotoneFunction.power_growth(2.0)
         R = np.linspace(0.0, 50.0, 1000)
-        for vals in (ck_growth_rate(M, 1, R), ck_growth_rate(M, 3, R),
-                     log_growth_rate(M, R)):
+        for vals in (ComposedRate(M, 1)(R), ComposedRate(M, 3)(R),
+                     ComposedRate(M)(R)):
             assert np.all(np.diff(vals) > 0.0)
 
 
 class TestDecayRates:
     def test_reciprocal_decay_k2_at_half(self):
         m = MonotoneFunction.power_decay(1.0)
-        assert ck_decay_rate(m, 2, 0.5) == pytest.approx(4.0, rel=1e-14)
+        assert ComposedRate(m, 2)(0.5) == pytest.approx(4.0, rel=1e-14)
 
     def test_constant_decay_k1_is_reciprocal(self):
         m = MonotoneFunction.constant_decay(1.0)
         for r in (1.0, 0.25, 1e-3):
-            assert ck_decay_rate(m, 1, r) == pytest.approx(1.0 / r, rel=1e-14)
+            assert ComposedRate(m, 1)(r) == pytest.approx(1.0 / r, rel=1e-14)
 
     def test_power_decay_exponent_law(self):
         # r^{-alpha} composes to r^{-(alpha(k+1)+1)/k}; alpha=1, k=2 gives
         # exponent 2
         m = MonotoneFunction.power_decay(1.0)
         for r in (1.0, 0.3, 0.01):
-            assert ck_decay_rate(m, 2, r) == pytest.approx(r ** -2.0, rel=1e-12)
+            assert ComposedRate(m, 2)(r) == pytest.approx(r ** -2.0, rel=1e-12)
 
     def test_log_variant_worked_values(self):
         one = MonotoneFunction.constant_decay(1.0)
         recip = MonotoneFunction.power_decay(1.0)
-        assert log_decay_rate(one, 1.0) == pytest.approx(math.log(2.0), rel=1e-14)
-        assert log_decay_rate(recip, 1.0) == pytest.approx(math.log(2.0), rel=1e-14)
-        assert log_decay_rate(recip, 0.1) == pytest.approx(
+        assert ComposedRate(one)(1.0) == pytest.approx(math.log(2.0), rel=1e-14)
+        assert ComposedRate(recip)(1.0) == pytest.approx(math.log(2.0), rel=1e-14)
+        assert ComposedRate(recip)(0.1) == pytest.approx(
             10.0 * math.log(101.0), rel=1e-12)
 
     def test_non_increasing_in_radius(self):
         m = MonotoneFunction.exponential_decay(0.5)
         r = np.linspace(1e-3, 1.0, 1000)
-        for vals in (ck_decay_rate(m, 1, r), ck_decay_rate(m, 4, r),
-                     log_decay_rate(m, r)):
+        for vals in (ComposedRate(m, 1)(r), ComposedRate(m, 4)(r),
+                     ComposedRate(m)(r)):
             assert np.all(np.diff(vals) <= 0.0)
 
 
@@ -131,7 +124,7 @@ class TestDomainsAndValidation:
     def test_k_must_be_positive_integer(self):
         M = MonotoneFunction.constant_growth(1.0)
         with pytest.raises(ValueError):
-            ck_growth_rate(M, 0, 1.0)
+            ComposedRate(M, 0)
 
     def test_non_monotone_table_rejected_not_repaired(self):
         with pytest.raises(ValueError, match="non-decreasing"):
@@ -161,23 +154,23 @@ class TestDomainsAndValidation:
 
 class TestInversion:
     def test_log_growth_constant_inverse(self):
-        f = log_growth_fn(MonotoneFunction.constant_growth(1.0))
+        f = ComposedRate(MonotoneFunction.constant_growth(1.0))
         assert invert_monotone(f, 1.0) == pytest.approx(math.e - 1.0, rel=1e-9)
 
     def test_ck_growth_inverse_of_worked_example(self):
-        f = ck_growth_fn(MonotoneFunction.power_growth(1.0), 2)
+        f = ComposedRate(MonotoneFunction.power_growth(1.0), 2)
         assert invert_monotone(f, 32.0) == pytest.approx(3.0, rel=1e-9)
 
     def test_log_decay_round_trip(self):
-        f = log_decay_fn(MonotoneFunction.power_decay(1.0))
+        f = ComposedRate(MonotoneFunction.power_decay(1.0))
         y = 10.0 * math.log(101.0)
         assert invert_monotone(f, y) == pytest.approx(0.1, rel=1e-8)
 
     def test_out_of_range_reports_range(self):
-        f = log_growth_fn(MonotoneFunction.constant_growth(1.0))
+        f = ComposedRate(MonotoneFunction.constant_growth(1.0))
         with pytest.raises(InversionRangeError):
             invert_monotone(f, -0.5)
-        g = ck_decay_fn(MonotoneFunction.constant_decay(1.0), 1)
+        g = ComposedRate(MonotoneFunction.constant_decay(1.0), 1)
         # m_1(r) = 1/r has infimum 1 at r = 1; no r gives 0.5
         with pytest.raises(InversionRangeError):
             invert_monotone(g, 0.5)
@@ -188,29 +181,29 @@ class TestInversion:
     def test_growth_round_trip_property(self, R, k):
         # the absolute floor covers small R, where the composed rate is flat
         # and the residual tolerance conditions into a larger x-error
-        f = ck_growth_fn(MonotoneFunction.power_growth(1.5), k)
+        f = ComposedRate(MonotoneFunction.power_growth(1.5), k)
         assert invert_monotone(f, float(f(R))) == pytest.approx(
             R, rel=1e-9, abs=1e-10)
 
     @given(st.floats(min_value=1e-3, max_value=1.0))
     @settings(max_examples=40, deadline=None)
     def test_decay_round_trip_property(self, r):
-        f = log_decay_fn(MonotoneFunction.power_decay(0.7))
+        f = ComposedRate(MonotoneFunction.power_decay(0.7))
         assert invert_monotone(f, float(f(r))) == pytest.approx(r, rel=1e-9)
 
     def test_hundred_random_round_trips_per_family(self):
         rng = np.random.default_rng(1234)
         growth_fns = [
-            ck_growth_fn(MonotoneFunction.power_growth(1.0), 2),
-            log_growth_fn(MonotoneFunction.exponential_growth(1.0)),
-            log_growth_fn(MonotoneFunction.constant_growth(2.0)),
+            ComposedRate(MonotoneFunction.power_growth(1.0), 2),
+            ComposedRate(MonotoneFunction.exponential_growth(1.0)),
+            ComposedRate(MonotoneFunction.constant_growth(2.0)),
         ]
         for f in growth_fns:
             for x in rng.uniform(0.05, 30.0, size=100):
                 assert invert_monotone(f, float(f(x))) == pytest.approx(x, rel=1e-9)
         decay_fns = [
-            ck_decay_fn(MonotoneFunction.power_decay(1.0), 2),
-            log_decay_fn(MonotoneFunction.exponential_decay(0.5)),
+            ComposedRate(MonotoneFunction.power_decay(1.0), 2),
+            ComposedRate(MonotoneFunction.exponential_decay(0.5)),
         ]
         for f in decay_fns:
             for x in rng.uniform(0.02, 1.0, size=100):
@@ -312,7 +305,7 @@ class TestRawBounds:
 
     def test_ck_argmin_tracks_inverse_rate(self):
         M = MonotoneFunction.power_growth(1.0)
-        f = ck_growth_fn(M, 2)
+        f = ComposedRate(M, 2)
         target = invert_monotone(f, 1e4)
         _, argmin = raw_bound_ck(M, 2, 1.0, 1e4)
         assert target / 3.0 <= argmin <= 3.0 * target
@@ -333,7 +326,7 @@ class TestRawBounds:
 
     def test_smooth_argmin_tracks_inverse_rate(self):
         M = MonotoneFunction.power_growth(1.0)
-        target = invert_monotone(log_growth_fn(M), 400.0)
+        target = invert_monotone(ComposedRate(M), 400.0)
         _, argmin = raw_bound_smooth(M, 0.4, 1e3)
         assert target / 3.0 <= argmin <= 3.0 * target
 

@@ -2,12 +2,12 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ingham_rates.quadrature import ExponentialDecay, integrate_semi_infinite
 from ingham_rates.semigroup_lab import (
     DiagonalOperator,
     ORBIT_KINDS,
@@ -312,15 +312,17 @@ class TestBoundaryFunction:
         assert boundary_function(sc, 0.0, 1)[0] == pytest.approx(1j, rel=1e-14)
 
     def test_matches_laplace_transform_quadrature(self):
-        # dual route: closed form vs direct transform of the orbit
+        # dual route: closed form vs direct transform of the orbit, by
+        # mpmath on [0, 60] in unit panels; the tail beyond 60 is at most
+        # e^{-48}/0.8
         lam = -0.8 + 1.5j
         sc = Scenario(single_mode(lam), "ar_omega", omega=1.0)
         for s in (0.0, 0.7, -2.3):
             closed = boundary_function(sc, s, 0)[0]
-            res = integrate_semi_infinite(
-                lambda t: np.exp((-1j * s + lam) * t), 0.0,
-                ExponentialDecay(-lam.real))
-            direct = res.value * mode_weights(sc)[0]
+            with mp.workdps(30):
+                z = mp.mpc(lam.real, lam.imag - s)
+                transform = mp.quad(lambda t: mp.exp(z * t), mp.linspace(0, 60, 61))
+            direct = complex(transform) * mode_weights(sc)[0]
             assert closed == pytest.approx(direct, abs=1e-9)
 
     def test_derivative_order_scaling(self):

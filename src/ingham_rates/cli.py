@@ -349,8 +349,8 @@ def parse_config(text: str, experiment: Optional[str] = None,
         kern.update(cfg["kernel"])
         cfg["kernel"] = kern
         _check_enum(cfg, "kernel", "name", ("tent", "fudge", "bump"), errors)
-        if kern["sharpness"] <= 0.0:
-            errors.append("[kernel] sharpness must be positive")
+        if not 0.0 < kern["sharpness"] <= 100.0:
+            errors.append("[kernel] sharpness must lie in (0, 100]")
         if name == "kernel_check" and kern["name"] not in ("tent", "fudge"):
             errors.append(
                 "[kernel] kernel_check compares against closed-form transforms"

@@ -260,6 +260,15 @@ class ComposedRate:
 # relative residual at which a bisection stops
 _TOL_REL = 1e-10
 
+# Raw-oracle search: points per scan of [0, u_max] in u = log R, doublings
+# of the upper edge R before a search gives up, the R beyond which it gives
+# up at once, and the relative width at which golden-section steps stop.
+_SCAN_POINTS = 400
+_DOUBLINGS = 60
+_U_CAP = math.log(1e250)
+_GOLDEN_TOL = 1e-6
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
 # Per kind: the domain edge, the first far end of the bracket, the factor
 # that pushes it outwards, the maps x -> u and u -> x of the bisection
 # coordinate (f increases in u) and whether a far end has left the float
@@ -275,8 +284,8 @@ def _libm(fn, values: np.ndarray) -> np.ndarray:
     """Apply a ``math`` function per element.
 
     numpy's SIMD exp/log differ from libm in the last ulp, which would move
-    every bisection midpoint and raw-oracle grid value off the one-point
-    results.
+    every bisection midpoint and raw-oracle scan or golden-section value off
+    the one-point results.
     """
     return np.fromiter(map(fn, values.tolist()), dtype=float, count=values.size)
 
@@ -497,68 +506,77 @@ def make_bound(
 # -- raw two-term bounds ------------------------------------------------------
 
 
-def _minimise_log_grid(
-    logf: Callable[[np.ndarray], np.ndarray],
-    u_max_initial: float,
-    *,
-    points: int = 400,
-    rel_tol: float = 1e-6,
-    max_doublings: int = 60,
-) -> tuple[float, float]:
-    """Minimise exp(logf(u)) for u = log R in [0, u_max] with golden refinement.
+def _minimise_rows(logf, p: np.ndarray, u_max: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimise exp(logf(u, p_i)) over u = log R in [0, u_max_i] for every row i.
 
-    ``logf`` maps an array of u to an array of values.  The grid is
-    evaluated in one call; it only picks the bracket that the one-point
-    golden-section steps then refine.  Returns (min value, argmin R).  The
-    upper edge doubles (in R) whenever the grid minimum lands on it;
-    persistent boundary minima raise :class:`SearchBracketError`.
+    ``logf`` maps arrays (u, p) of equal shape to log values, ``p`` holding
+    each point's row parameter.  A row scans ``_SCAN_POINTS`` points of
+    ``linspace(0, u_max_i)``; while the scan minimum lands on the upper
+    edge, u_max_i grows by log 2 and the row is scanned again.  Golden-
+    section steps then shrink the bracket around the scan minimum to width
+    ``_GOLDEN_TOL * max(1, |midpoint|)``.  All open rows share each call of
+    ``logf`` and each row takes the steps of its own one-row search, so no
+    row depends on the others.  Returns (min values, argmin R).  A row
+    whose minimum stays on the edge after ``_DOUBLINGS`` doublings, or at
+    R >= 1e250, raises :class:`SearchBracketError` (the lowest such row).
     """
-
-    def at(u: float) -> float:
-        return float(logf(np.array([u]))[0])
-
-    u_max = u_max_initial
-    for _ in range(max_doublings):
-        grid = np.linspace(0.0, u_max, points)
-        vals = logf(grid)
-        idx = int(np.nanargmin(vals))
-        if idx < points - 1 or u_max >= math.log(1e250):
+    n = p.size
+    u_max = u_max.copy()
+    lo, hi = np.empty(n), np.empty(n)
+    pinned = np.zeros(n, dtype=bool)
+    todo = np.arange(n)
+    last = _SCAN_POINTS - 1
+    for _ in range(_DOUBLINGS):
+        grid = np.linspace(0.0, u_max[todo], _SCAN_POINTS, axis=1)
+        vals = logf(grid.ravel(), np.repeat(p[todo], _SCAN_POINTS))
+        idx = np.nanargmin(vals.reshape(grid.shape), axis=1)
+        edge = idx == last
+        done = ~edge | (u_max[todo] >= _U_CAP)
+        rows, idx = np.flatnonzero(done), idx[done]
+        lo[todo[rows]] = grid[rows, np.maximum(idx - 1, 0)]
+        hi[todo[rows]] = grid[rows, np.minimum(idx + 1, last)]
+        pinned[todo[done & edge]] = True
+        todo = todo[~done]
+        if not todo.size:
             break
-        u_max += math.log(2.0)
-    else:
+        u_max[todo] += math.log(2.0)
+    pinned[todo] = True
+    if pinned.any():
+        i = int(np.flatnonzero(pinned)[0])
         raise SearchBracketError(
-            f"minimiser pinned at the search boundary R = {math.exp(u_max):.6g}"
-        )
-    if idx == points - 1 and u_max >= math.log(1e250):
-        raise SearchBracketError(
-            f"minimiser pinned at the search boundary R = {math.exp(u_max):.6g}"
-        )
+            f"minimiser pinned at the search boundary R = {math.exp(u_max[i]):.6g}")
 
-    lo = grid[max(idx - 1, 0)]
-    hi = grid[min(idx + 1, points - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = at(x1), at(x2)
-    while (b - a) > rel_tol * max(1.0, abs(0.5 * (a + b))):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = at(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = at(x2)
-    u_best = x1 if f1 <= f2 else x2
-    return math.exp(at(u_best)), math.exp(u_best)
+    def wide(rows):
+        a, b = lo[rows], hi[rows]
+        return (b - a) > _GOLDEN_TOL * np.maximum(1.0, np.abs(0.5 * (a + b)))
+
+    # golden section on [lo, hi] with inner points x1 < x2
+    x1 = hi - _INVPHI * (hi - lo)
+    x2 = lo + _INVPHI * (hi - lo)
+    f12 = logf(np.concatenate([x1, x2]), np.concatenate([p, p]))
+    f1, f2 = f12[:n], f12[n:]
+    open_ = np.flatnonzero(wide(np.arange(n)))
+    while open_.size:
+        left = f1[open_] <= f2[open_]
+        sl, sr = open_[left], open_[~left]
+        hi[sl], x2[sl], f2[sl] = x2[sl], x1[sl], f1[sl]
+        x1[sl] = hi[sl] - _INVPHI * (hi[sl] - lo[sl])
+        lo[sr], x1[sr], f1[sr] = x1[sr], x2[sr], f2[sr]
+        x2[sr] = lo[sr] + _INVPHI * (hi[sr] - lo[sr])
+        f_new = logf(np.where(left, x1[open_], x2[open_]), p[open_])
+        f1[sl], f2[sr] = f_new[left], f_new[~left]
+        open_ = open_[wide(open_)]
+    # logf acts per element, so f1 and f2 already are its values at x1, x2
+    best = f1 <= f2
+    return (_libm(math.exp, np.where(best, f1, f2)),
+            _libm(math.exp, np.where(best, x1, x2)))
 
 
 def _search_radii(composed: ComposedRate, y: np.ndarray) -> np.ndarray:
     """Upper search radius per target: 1e3 * composed^{-1}(y), within [1e6, 1e250].
 
     One array inversion for all targets; a target beyond the attained
-    range gets 1e6.
+    range counts as composed^{-1}(y) = 1e6, so its radius is 1e9.
     """
     r_star, failures = _invert(composed, y)
     for i in sorted(failures):
@@ -568,17 +586,16 @@ def _search_radii(composed: ComposedRate, y: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(1e6, 1e3 * np.maximum(r_star, 1.0)), 1e250)
 
 
-def _raw_minima(logf_at, composed: ComposedRate, c: float, t):
-    """Minimise exp(logf_at(t)) for every t of a scalar or 1-d grid."""
+def _raw_minima(logf, param: Callable[[np.ndarray], np.ndarray],
+                composed: ComposedRate, c: float, t):
+    """Minimise exp(logf(u, param(t))) for every t of a scalar or 1-d grid."""
     flat, scalar = _as_array(t)
     if c <= 0.0 or np.any(flat <= 0.0):
         raise ValueError("c and t must be positive")
-    radii = _search_radii(composed, c * flat)
-    found = [_minimise_log_grid(logf_at(tv), math.log(r))
-             for tv, r in zip(flat.tolist(), radii.tolist())]
+    u_max = _libm(math.log, _search_radii(composed, c * flat))
+    values, argmins = _minimise_rows(logf, param(flat), u_max)
     if scalar:
-        return found[0]
-    values, argmins = (np.array(col) for col in zip(*found))
+        return float(values[0]), float(argmins[0])
     return values, argmins
 
 
@@ -588,22 +605,20 @@ def raw_bound_ck(growth: MonotoneFunction, k: int, c: float, t):
     Returns (value, argmin) for a scalar t, or arrays of both for a 1-d
     t-grid.  For each t the search scans a 400-point logarithmic grid up
     to ``max(1e6, 1e3 * Mk^{-1}(c*t))`` and refines with golden-section
-    iterations to relative tolerance 1e-6 in log R; the inverses for all
-    t come from one array inversion.
+    iterations to relative tolerance 1e-6 in log R.  The inverses for all
+    t come from one array inversion, and all t scan and refine in
+    lockstep, each with the steps of its one-point search.
     """
     _require_kind(growth, "growth")
     _require_k(k)
 
-    def logf_at(t: float):
-        log_t = math.log(t)
+    def logf(u: np.ndarray, k_log_t: np.ndarray) -> np.ndarray:
+        M = growth(_libm(math.exp, u))
+        val = np.logaddexp(-u, u + (k + 1) * _libm(math.log, M) - k_log_t)
+        return np.where(np.isfinite(M), val, np.inf)
 
-        def logf(u: np.ndarray) -> np.ndarray:
-            M = growth(_libm(math.exp, u))
-            val = np.logaddexp(-u, u + (k + 1) * _libm(math.log, M) - k * log_t)
-            return np.where(np.isfinite(M), val, np.inf)
-        return logf
-
-    return _raw_minima(logf_at, ComposedRate(growth, k), c, t)
+    return _raw_minima(logf, lambda ts: k * _libm(math.log, ts),
+                       ComposedRate(growth, k), c, t)
 
 
 def raw_bound_smooth(growth: MonotoneFunction, c: float, t):
@@ -616,12 +631,10 @@ def raw_bound_smooth(growth: MonotoneFunction, c: float, t):
     """
     _require_kind(growth, "growth")
 
-    def logf_at(t: float):
-        def logf(u: np.ndarray) -> np.ndarray:
-            R = _libm(math.exp, u)
-            M = growth(R)
-            big = 2.0 * _libm(math.log1p, R) + 2.0 * _libm(math.log, M) - 2.0 * c * t / M
-            return np.where(np.isfinite(M), np.logaddexp(big, 0.0) - u, np.inf)
-        return logf
+    def logf(u: np.ndarray, two_ct: np.ndarray) -> np.ndarray:
+        R = _libm(math.exp, u)
+        M = growth(R)
+        big = 2.0 * _libm(math.log1p, R) + 2.0 * _libm(math.log, M) - two_ct / M
+        return np.where(np.isfinite(M), np.logaddexp(big, 0.0) - u, np.inf)
 
-    return _raw_minima(logf_at, ComposedRate(growth), c, t)
+    return _raw_minima(logf, lambda ts: 2.0 * c * ts, ComposedRate(growth), c, t)

@@ -441,6 +441,19 @@ values = 4,8
         leftovers = {p.name for p in tmp_path.iterdir()} - {cfg_path.name}
         assert leftovers == set()
 
+    def test_bump_sharpness_above_100_is_a_config_error(self, tmp_path, capsys):
+        # the bump kernel accepts sharpness in (0, 100] only, so a larger
+        # value is rejected when the config is parsed, before any run
+        text = PARSEVAL_SINGLE_MODE.replace("name = tent", "name = bump\nsharpness = 200")
+        cfg_path = write_config(tmp_path, text)
+        rc = cli.main(["parseval", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "sharp")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error: [kernel] sharpness must lie in (0, 100]" in err
+        assert "ValueError" not in err
+        assert {p.name for p in tmp_path.iterdir()} == {cfg_path.name}
+
     def test_int_overflow_exits_two_without_files(self, tmp_path, capsys):
         text = REGULARITY_CLUSTER.replace("n_modes = 20", "n_modes = 1e400")
         cfg_path = write_config(tmp_path, text)

@@ -1,6 +1,8 @@
 """Tests for rate-function construction, inversion, and decay bounds."""
 
 import math
+import re
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from ingham_rates.rate_functions import (
     InadmissibleConstantError,
     InversionRangeError,
     MonotoneFunction,
+    SearchBracketError,
     VARIANTS,
     invert_monotone,
     make_bound,
@@ -339,8 +342,8 @@ class TestRawBounds:
 
     @pytest.mark.parametrize("oracle", ["ck", "smooth"])
     def test_grid_equals_pointwise(self, oracle):
-        # one array inversion sets every search radius; each t must still
-        # get exactly the value and argmin of its one-point call
+        # a scalar t is a one-row grid: each t of a grid must get exactly
+        # the value and argmin of its one-point call
         M = MonotoneFunction.power_growth(1.0)
         ts = np.geomspace(100.0, 1e4, 7)
         if oracle == "ck":
@@ -351,6 +354,52 @@ class TestRawBounds:
             pointwise = [raw_bound_smooth(M, 0.4, float(t)) for t in ts]
         assert values.tolist() == [v for v, _ in pointwise]
         assert argmins.tolist() == [r for _, r in pointwise]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, None], ids=["k1", "k2", "k3", "smooth"])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("family", ["power", "exponential"])
+    def test_grid_equals_reference(self, family, alpha, k):
+        # the bench universe's oracle grids: 11 to 31 points on [100, 1e4]
+        growth = _rate_pair(family, alpha)[0]
+        points = (11, 16, 21, 26, 31)[int(2 * alpha + (k or 0)) % 5]
+        ts = np.geomspace(100.0, 1e4, points)
+        _assert_matches_reference(growth, k, 1.0 if k else 0.45, ts)
+
+    def test_rows_that_double_the_search_edge_match_reference(self):
+        # with c = 1e-4 the search radius of constant growth, about
+        # max(1e6, 1e3 * c * t), lies below the argmin t once t > 1e6, so
+        # only the later rows raise their upper edge; an argmin beyond the
+        # radius proves that a row did
+        growth = MonotoneFunction.constant_growth(1.0)
+        ts = np.geomspace(1e4, 1e9, 11)
+        _, argmins = _assert_matches_reference(growth, 2, 1e-4, ts)
+        doubled = [r > max(1e6, 0.1 * t) for r, t in zip(argmins, ts.tolist())]
+        assert any(doubled) and not all(doubled)
+
+    def test_pinned_row_raises_search_bracket_error(self):
+        # c*t = 4.5e299 lies beyond the range of M_log, so the t = 1e300 row
+        # starts at R = 1e9, finds its minimum on the edge every time and
+        # gives up after 60 doublings
+        growth = MonotoneFunction.constant_growth(1.0)
+        message = "minimiser pinned at the search boundary R = 1.15292e+27"
+        with pytest.raises(SearchBracketError) as excinfo:
+            raw_bound_smooth(growth, 0.45, [100.0, 1e300])
+        assert type(excinfo.value) is SearchBracketError
+        assert str(excinfo.value) == message
+        with pytest.raises(SearchBracketError, match=re.escape(message)):
+            _reference_raw(growth, None, 0.45, [100.0, 1e300])
+
+    def test_lowest_pinned_row_is_reported(self):
+        # rows t = 1e35 and t = 1e30 both pin, from R = 1e16 and R = 1e11;
+        # the pointwise search meets t = 1e35 first
+        growth = MonotoneFunction.constant_growth(1.0)
+        ts = [1e4, 1e35, 1e30]
+        message = "minimiser pinned at the search boundary R = 1.15292e+34"
+        with pytest.raises(SearchBracketError) as excinfo:
+            raw_bound_ck(growth, 2, 1e-22, ts)
+        assert str(excinfo.value) == message
+        with pytest.raises(SearchBracketError, match=re.escape(message)):
+            _reference_raw(growth, 2, 1e-22, ts)
 
 
 # -- array inversion against the one-target bisection -------------------------
@@ -416,6 +465,107 @@ def _reference_bound(bound, t):
     if bound.variant in ("zero_ck", "zero_smooth", "zero_infinity_smooth"):
         total += 1.0 / t
     return total
+
+
+def _reference_minimise(
+    logf: Callable[[np.ndarray], np.ndarray],
+    u_max_initial: float,
+    *,
+    points: int = 400,
+    rel_tol: float = 1e-6,
+    max_doublings: int = 60,
+) -> tuple[float, float]:
+    """Minimise exp(logf(u)) for u = log R in [0, u_max] with golden refinement.
+
+    ``logf`` maps an array of u to an array of values.  The grid is
+    evaluated in one call; it only picks the bracket that the one-point
+    golden-section steps then refine.  Returns (min value, argmin R).  The
+    upper edge doubles (in R) whenever the grid minimum lands on it;
+    persistent boundary minima raise :class:`SearchBracketError`.
+    """
+
+    def at(u: float) -> float:
+        return float(logf(np.array([u]))[0])
+
+    u_max = u_max_initial
+    for _ in range(max_doublings):
+        grid = np.linspace(0.0, u_max, points)
+        vals = logf(grid)
+        idx = int(np.nanargmin(vals))
+        if idx < points - 1 or u_max >= math.log(1e250):
+            break
+        u_max += math.log(2.0)
+    else:
+        raise SearchBracketError(
+            f"minimiser pinned at the search boundary R = {math.exp(u_max):.6g}"
+        )
+    if idx == points - 1 and u_max >= math.log(1e250):
+        raise SearchBracketError(
+            f"minimiser pinned at the search boundary R = {math.exp(u_max):.6g}"
+        )
+
+    lo = grid[max(idx - 1, 0)]
+    hi = grid[min(idx + 1, points - 1)]
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    f1, f2 = at(x1), at(x2)
+    while (b - a) > rel_tol * max(1.0, abs(0.5 * (a + b))):
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = at(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = at(x2)
+    u_best = x1 if f1 <= f2 else x2
+    return math.exp(at(u_best)), math.exp(u_best)
+
+
+def _libm_array(fn, values):
+    return np.array([fn(v) for v in values.tolist()])
+
+
+def _reference_raw(growth, k, c, ts):
+    """Raw oracle (C^k for integer k, smooth for None) by a one-t search per t.
+
+    The search radius comes from the one-target bisection; the first t
+    whose search fails raises.
+    """
+    found = []
+    for t in ts:
+        try:
+            r_star = _reference_invert(ComposedRate(growth, k), c * t)
+        except InversionRangeError:
+            r_star = 1e6
+        radius = min(max(1e6, 1e3 * max(r_star, 1.0)), 1e250)
+        if k is None:
+            def logf(u, t=t):
+                R = _libm_array(math.exp, u)
+                M = growth(R)
+                big = (2.0 * _libm_array(math.log1p, R) + 2.0 * _libm_array(math.log, M)
+                       - 2.0 * c * t / M)
+                return np.where(np.isfinite(M), np.logaddexp(big, 0.0) - u, np.inf)
+        else:
+            def logf(u, log_t=math.log(t)):
+                M = growth(_libm_array(math.exp, u))
+                val = np.logaddexp(-u, u + (k + 1) * _libm_array(math.log, M) - k * log_t)
+                return np.where(np.isfinite(M), val, np.inf)
+        found.append(_reference_minimise(logf, math.log(radius)))
+    return [v for v, _ in found], [r for _, r in found]
+
+
+def _assert_matches_reference(growth, k, c, ts):
+    if k is None:
+        values, argmins = raw_bound_smooth(growth, c, ts)
+    else:
+        values, argmins = raw_bound_ck(growth, k, c, ts)
+    ref_values, ref_argmins = _reference_raw(growth, k, c, ts.tolist())
+    assert values.tolist() == ref_values
+    assert argmins.tolist() == ref_argmins
+    return ref_values, ref_argmins
 
 
 def _outcome(fn):

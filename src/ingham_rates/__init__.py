@@ -10,9 +10,10 @@ The package is organised in six modules:
     they induce, numerical inversion, and the six closed-form decay
     bounds (plus raw two-term minimisation oracles).
 ``kernels``
-    Smoothing kernels with closed-form Fourier transforms (tent, fudge)
-    and a tabulated compactly-supported bump, with tail and derivative
-    helpers.
+    Smoothing kernels with band-limited Fourier transforms: tent and
+    fudge, stated as polynomial pieces of the transform from which their
+    time profiles are derived, and a tabulated bump whose transform is
+    compactly supported; with tail integrals and numeric transforms.
 ``semigroup_lab``
     Diagonal operator models whose orbits and resolvents are computable
     in closed form: single modes and eigenvalue clusters accumulating at

@@ -16,8 +16,10 @@ Three kernels are provided:
 * ``bump``: the inverse transform of a smooth plateau function, tabulated on
   a finite window and interpolated by a cubic spline.
 
-Near t = 0 the closed-form kernels switch to a 6-term Taylor series below
-|t| = 1e-4, where the direct formulas lose digits to cancellation.
+Tent and fudge state only their transform, as polynomial pieces, and this
+module is the one reader of that format: it derives from the pieces the
+time profile, its tail components and its small-|t| Taylor series, and the
+pieces of 1 - psi that the defect engine integrates.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.polynomial import Polynomial
 from numpy.polynomial.polynomial import polyval
 
 from .quadrature import NonConvergenceError, QuadratureSpec, integrate, integrate_oscillatory
@@ -49,44 +52,7 @@ class KernelTabulationError(RuntimeError):
 
 _TAYLOR_RADIUS = 1e-4
 _TAYLOR_TERMS = 6
-
-# (cos(t/2) - cos t)/t^2 = sum_{n>=1} (-1)^{n+1} (1 - 4^{-n}) t^{2n-2} / (2n)!
-_TENT_COEFFS = np.array([
-    (-1.0) ** (n + 1) * (1.0 - 4.0 ** (-n)) / math.factorial(2 * n)
-    for n in range(1, _TAYLOR_TERMS + 1)
-])
-# (sin t / t - cos t)/t^2 = sum_{n>=1} (-1)^{n+1} (2n) t^{2n-2} / (2n+1)!
-_FUDGE_COEFFS = np.array([
-    (-1.0) ** (n + 1) * (2.0 * n) / math.factorial(2 * n + 1)
-    for n in range(1, _TAYLOR_TERMS + 1)
-])
-
-
-def _polyval_even(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Evaluate sum coeffs[n] * t**(2n) with Horner's scheme."""
-    t2 = t * t
-    out = np.full_like(t, coeffs[-1])
-    for c in coeffs[-2::-1]:
-        out = out * t2 + c
-    return out
-
-
-def _tent_time(t: np.ndarray) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    small = np.abs(t) < _TAYLOR_RADIUS
-    safe = np.where(small, 1.0, t)
-    direct = (np.cos(0.5 * safe) - np.cos(safe)) / (safe * safe)
-    series = _polyval_even(_TENT_COEFFS, t)
-    return (2.0 / math.pi) * np.where(small, series, direct)
-
-
-def _fudge_time(t: np.ndarray) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    small = np.abs(t) < _TAYLOR_RADIUS
-    safe = np.where(small, 1.0, t)
-    direct = (np.sin(safe) / safe - np.cos(safe)) / (safe * safe)
-    series = _polyval_even(_FUDGE_COEFFS, t)
-    return (2.0 / math.pi) * np.where(small, series, direct)
+_TRIG = {"cos": np.cos, "sin": np.sin}
 
 
 def _piecewise_freq(pieces: tuple) -> Callable[[np.ndarray], np.ndarray]:
@@ -101,17 +67,46 @@ def _piecewise_freq(pieces: tuple) -> Callable[[np.ndarray], np.ndarray]:
     return freq_eval
 
 
+def _complement_pieces(pieces: tuple) -> tuple[np.ndarray, list, list]:
+    """Breakpoints of 1 - psi on the line, its polynomial pieces and jumps.
+
+    Returns the sorted breakpoints c_1 < ... < c_m, the m + 1 pieces'
+    coefficients (ascending powers of s; the outer pieces are 1) and, at
+    each c where 1 - psi or a derivative jumps, ``(c, taylor)`` with the
+    coefficients of p_left - p_right expanded about c.  The kernel's pieces
+    on s >= 0 are mirrored to s < 0 because psi is even.
+    """
+    ends = {e for lo, hi, _ in pieces for e in (lo, hi)}
+    breaks = np.array(sorted(ends | {-e for e in ends}))
+    polys = [np.ones(1)]
+    for lo, hi in zip(breaks[:-1], breaks[1:]):
+        mid = 0.5 * (lo + hi)
+        coeffs = next(np.asarray(c, dtype=float) for a, b, c in pieces
+                      if a <= abs(mid) <= b)
+        psi = coeffs * np.sign(mid) ** np.arange(coeffs.size)
+        polys.append(np.concatenate([[1.0 - psi[0]], -psi[1:]]))
+    polys.append(np.ones(1))
+    jumps = []
+    for c, left, right in zip(breaks, polys[:-1], polys[1:]):
+        diff = Polynomial(left) - Polynomial(right)
+        taylor = diff(Polynomial([c, 1.0])).coef
+        if np.any(taylor != 0.0):
+            jumps.append((float(c), taylor))
+    return breaks, polys, jumps
+
+
 @dataclass(frozen=True)
 class Kernel:
     """An even unit-mass kernel and its closed-form Fourier transform.
 
     ``flat_near_zero`` records whether the transform is identically 1 on a
-    neighbourhood of s = 0 (of radius ``plateau_radius``), the property
-    needed for band-limited convolution to reproduce low frequencies
-    exactly.  ``freq_pieces`` states a piecewise polynomial transform once,
-    as ``(lo, hi, coefficients)`` triples on s >= 0 with coefficients in
-    ascending powers of s (psi vanishes beyond the last piece); it is empty
-    for tabulated kernels.  ``time_cutoff`` is the half-width of the
+    neighbourhood of s = 0, the property needed for band-limited
+    convolution to reproduce low frequencies exactly.  ``freq_pieces``
+    states a piecewise polynomial transform once, as ``(lo, hi,
+    coefficients)`` triples on s >= 0 with coefficients in ascending powers
+    of s (psi vanishes beyond the last piece); it is empty for tabulated
+    kernels.  ``complement`` holds what :func:`_complement_pieces` derives
+    from it for the defect engine.  ``time_cutoff`` is the half-width of the
     tabulation window for interpolated kernels (None when the time profile
     is closed-form), with ``tail_mass_defect`` the certified bound on the
     mass ignored beyond it.
@@ -122,10 +117,9 @@ class Kernel:
     freq_eval: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     flat_near_zero: bool
     freq_pieces: tuple = ()
-    plateau_radius: float = 0.0
+    complement: tuple = field(repr=False, compare=False, default=())
     tail_mass_defect: float = 0.0
     time_cutoff: Optional[float] = None
-    peak_value: float = 0.0
     quartic_decay_constant: Optional[float] = None
     _components: tuple = field(repr=False, default=())
 
@@ -145,10 +139,65 @@ class Kernel:
         out = np.asarray(self.freq_eval(arr / scale), dtype=float)
         return float(out) if arr.ndim == 0 else out
 
-    @property
-    def mass(self) -> float:
-        """Total integral of phi, which equals psi(0) = 1."""
-        return float(self.freq_eval(np.asarray(0.0)))
+
+@lru_cache(maxsize=8)
+def _piecewise_kernel(name: str, pieces: tuple) -> Kernel:
+    """The kernel whose transform is ``pieces``, with everything else derived.
+
+    ``phi(t) = (1/2pi) int psi(s) e^{ist} ds`` integrated by parts on each
+    piece leaves ``(1/2pi) sum_k (-1)^{k+1} k! taylor[k] e^{ict} / (it)^{k+1}``
+    at each breakpoint c.  Since taylor_k(-c) = (-1)^{k+1} taylor_k(c), c and
+    -c pair into ``a trig(c t) / (pi t^{k+1})``, cos for odd k and sin for
+    even k, with ``a = (-1)^{k//2+1} k! taylor[k]``, halved at c = 0.  These
+    terms also give ``_components``.  Below |t| = 1e-4, where they cancel,
+    phi is the series ``(1/pi) sum_n (-1)^n m_2n t^2n / (2n)!`` with the
+    moments ``m_j = int_0^1 psi(s) s^j ds`` summed as exact rationals, so
+    each coefficient is rounded once.  That switch suits terms up to t^-3,
+    as in tent and fudge; deeper terms cancel to O(1) far beyond 1e-4.
+    Results are cached.
+    """
+    breaks, polys, jumps = _complement_pieces(pieces)
+    terms = []  # (a, trig, c, power): c ascending, then derivative order descending
+    for c, taylor in jumps:
+        for k in range(taylor.size - 1, -1, -1):
+            if c >= 0.0 and taylor[k] != 0.0:
+                a = (-1) ** (k // 2 + 1) * math.factorial(k) * float(taylor[k])
+                terms.append((0.5 * a if c == 0.0 else a, "cos" if k % 2 else "sin", c, k + 1))
+    p_min = min(p for *_, p in terms)
+    # imported here, so that processes which build no such kernel skip it
+    from fractions import Fraction
+
+    def moment(j: int) -> Fraction:
+        return sum(Fraction(c) * (Fraction(hi) ** (j + i + 1) - Fraction(lo) ** (j + i + 1))
+                   / (j + i + 1) for lo, hi, coeffs in pieces for i, c in enumerate(coeffs))
+    series = [float((-1) ** n * moment(2 * n) / math.factorial(2 * n))
+              for n in range(_TAYLOR_TERMS)]
+
+    def time_eval(t: np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        small = np.abs(t) < _TAYLOR_RADIUS
+        safe = np.where(small, 1.0, t)
+        out = 0.0
+        for a, trig, c, p in terms:
+            term = a * _TRIG[trig](c * safe)
+            out = out + (term / safe ** (p - p_min) if p > p_min else term)
+        out = out / safe ** p_min
+        if small.any():  # Horner in t^2
+            t2, near = t * t, np.full_like(t, series[-1])
+            for coef in series[-2::-1]:
+                near = near * t2 + coef
+            out = np.where(small, near, out)
+        return (1.0 / math.pi) * out
+
+    return Kernel(
+        name=name,
+        time_eval=time_eval,
+        freq_eval=_piecewise_freq(pieces),
+        flat_near_zero=tuple(pieces[0][2]) == (1.0,),
+        freq_pieces=pieces,
+        complement=(breaks, polys, jumps),
+        _components=tuple((a / math.pi, trig, c, p) for a, trig, c, p in terms),
+    )
 
 
 def tent_kernel() -> Kernel:
@@ -158,20 +207,7 @@ def tent_kernel() -> Kernel:
     the transform equals 1 for |s| <= 1/2 and ``2 (1 - |s|)`` for
     1/2 <= |s| <= 1.
     """
-    pieces = ((0.0, 0.5, (1.0,)), (0.5, 1.0, (2.0, -2.0)))
-    return Kernel(
-        name="tent",
-        time_eval=_tent_time,
-        freq_eval=_piecewise_freq(pieces),
-        flat_near_zero=True,
-        freq_pieces=pieces,
-        plateau_radius=0.5,
-        peak_value=3.0 / (4.0 * math.pi),
-        _components=(
-            (2.0 / math.pi, "cos", 0.5, 2),
-            (-2.0 / math.pi, "cos", 1.0, 2),
-        ),
-    )
+    return _piecewise_kernel("tent", ((0.0, 0.5, (1.0,)), (0.5, 1.0, (2.0, -2.0))))
 
 
 def fudge_kernel() -> Kernel:
@@ -179,20 +215,7 @@ def fudge_kernel() -> Kernel:
 
     ``phi(t) = 2 (sin t / t - cos t) / (pi t^2)`` with ``phi(0) = 2/(3 pi)``.
     """
-    pieces = ((0.0, 1.0, (1.0, 0.0, -1.0)),)
-    return Kernel(
-        name="fudge",
-        time_eval=_fudge_time,
-        freq_eval=_piecewise_freq(pieces),
-        flat_near_zero=False,
-        freq_pieces=pieces,
-        plateau_radius=0.0,
-        peak_value=2.0 / (3.0 * math.pi),
-        _components=(
-            (2.0 / math.pi, "sin", 1.0, 3),
-            (-2.0 / math.pi, "cos", 1.0, 2),
-        ),
-    )
+    return _piecewise_kernel("fudge", ((0.0, 1.0, (1.0, 0.0, -1.0)),))
 
 
 def _smoothstep(u: np.ndarray, sharpness: float) -> np.ndarray:
@@ -287,10 +310,8 @@ def _build_bump(transition_sharpness: float) -> Kernel:
         time_eval=time_eval,
         freq_eval=freq_eval,
         flat_near_zero=True,
-        plateau_radius=0.5,
         tail_mass_defect=defect,
         time_cutoff=_BUMP_TIME_CUTOFF,
-        peak_value=float(np.max(np.abs(phi))),
         quartic_decay_constant=quartic,
     )
 

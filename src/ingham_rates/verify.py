@@ -37,7 +37,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.polynomial import Polynomial
 from numpy.polynomial.legendre import leggauss
 from numpy.polynomial.polynomial import polyval
 
@@ -106,10 +105,7 @@ def fit_loglog(pairs: Sequence[tuple]) -> tuple[float, float]:
         raise ValueError("log-log fit requires distinct abscissae")
     slope = float(np.sum((x - xbar) * (y - y.mean())) / sxx)
     resid = y - (y.mean() + slope * (x - xbar))
-    if n > 2:
-        stderr = math.sqrt(float(np.sum(resid**2)) / (n - 2) / sxx)
-    else:
-        stderr = 0.0
+    stderr = math.sqrt(float(np.sum(resid**2)) / (n - 2) / sxx)
     return slope, stderr
 
 
@@ -128,26 +124,6 @@ _PANEL_WIDTH = 0.5 * math.pi
 # e^{-45} < 3e-20: the panel route reports modes with |Re lambda| t beyond
 # this as 0, and the Parseval check truncates the orbit there
 _EXP_CLIP = 45.0
-
-
-def _complement_pieces(kernel: Kernel) -> tuple[np.ndarray, list]:
-    """Breakpoints of 1 - psi on the line and its polynomial pieces.
-
-    Returns the sorted breakpoints c_1 < ... < c_m and the m + 1 pieces'
-    coefficients (ascending powers of s); the outer pieces are 1.  The
-    kernel's pieces on s >= 0 are mirrored to s < 0 because psi is even.
-    """
-    ends = {e for lo, hi, _ in kernel.freq_pieces for e in (lo, hi)}
-    breaks = np.array(sorted(ends | {-e for e in ends}))
-    polys = [np.ones(1)]
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        mid = 0.5 * (lo + hi)
-        coeffs = next(np.asarray(c, dtype=float) for a, b, c in kernel.freq_pieces
-                      if a <= abs(mid) <= b)
-        psi = coeffs * np.sign(mid) ** np.arange(coeffs.size)
-        polys.append(np.concatenate([[1.0 - psi[0]], -psi[1:]]))
-    polys.append(np.ones(1))
-    return breaks, polys
 
 
 def _g_near(x: np.ndarray) -> np.ndarray:
@@ -246,13 +222,7 @@ def _frequency_route(kernel: Kernel, t_grid: np.ndarray):
     branch takes the side s < Im lambda there, so the piece [a, b) holding
     Im lambda adds the pole term ``2 pi e^{lambda t} p(mu)``.
     """
-    breaks, polys = _complement_pieces(kernel)
-    jumps = []
-    for c, left, right in zip(breaks, polys[:-1], polys[1:]):
-        diff = Polynomial(left) - Polynomial(right)
-        taylor = diff(Polynomial([c, 1.0])).coef
-        if np.any(taylor != 0.0):
-            jumps.append((float(c), taylor))
+    breaks, polys, jumps = kernel.complement
     t = t_grid[None, :]
 
     def defects(lam: np.ndarray, wts: np.ndarray) -> np.ndarray:
@@ -349,7 +319,7 @@ def convolution_defect_profile(
         raise ValueError("t_grid must be positive and strictly increasing")
     if np.any(lams.real >= 0.0):
         raise ValueError("eigenvalues must have strictly negative real part")
-    route = _frequency_route if kernel.freq_pieces else _panel_route
+    route = _frequency_route if kernel.complement else _panel_route
     defects, width = route(kernel, t_grid)
     step = max(1, _CHUNK // width)
     sup = np.zeros(t_grid.size)

@@ -16,7 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ingham_rates.cli import KERNEL_MATCH_TOLERANCE
 from ingham_rates.kernels import (
+    _piecewise_kernel,
     bump_kernel,
     fudge_kernel,
     numeric_fourier,
@@ -66,7 +68,9 @@ class TestTentKernel:
 
     def test_admissibility_flags(self):
         assert TENT.flat_near_zero
-        assert TENT.plateau_radius == pytest.approx(0.5)
+        # the plateau ends at s = 1/2
+        assert TENT.freq_eval(np.array(0.5)) == 1.0
+        assert TENT.freq_eval(np.array(0.5 + 1e-9)) < 1.0
 
 
 class TestFudgeKernel:
@@ -94,6 +98,109 @@ class TestFudgeKernel:
         assert below == pytest.approx(above, rel=1e-7)
 
 
+# Hand-written time profiles, Taylor tables and trigonometric components
+# that the kernels stated before they were derived from ``freq_pieces``;
+# kept verbatim as the reference the derivation must reproduce bit for bit.
+_TAYLOR_RADIUS = 1e-4
+_TAYLOR_TERMS = 6
+
+# (cos(t/2) - cos t)/t^2 = sum_{n>=1} (-1)^{n+1} (1 - 4^{-n}) t^{2n-2} / (2n)!
+_TENT_COEFFS = np.array([
+    (-1.0) ** (n + 1) * (1.0 - 4.0 ** (-n)) / math.factorial(2 * n)
+    for n in range(1, _TAYLOR_TERMS + 1)
+])
+# (sin t / t - cos t)/t^2 = sum_{n>=1} (-1)^{n+1} (2n) t^{2n-2} / (2n+1)!
+_FUDGE_COEFFS = np.array([
+    (-1.0) ** (n + 1) * (2.0 * n) / math.factorial(2 * n + 1)
+    for n in range(1, _TAYLOR_TERMS + 1)
+])
+
+
+def _polyval_even(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Evaluate sum coeffs[n] * t**(2n) with Horner's scheme."""
+    t2 = t * t
+    out = np.full_like(t, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        out = out * t2 + c
+    return out
+
+
+def _tent_time(t: np.ndarray) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    small = np.abs(t) < _TAYLOR_RADIUS
+    safe = np.where(small, 1.0, t)
+    direct = (np.cos(0.5 * safe) - np.cos(safe)) / (safe * safe)
+    series = _polyval_even(_TENT_COEFFS, t)
+    return (2.0 / math.pi) * np.where(small, series, direct)
+
+
+def _fudge_time(t: np.ndarray) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    small = np.abs(t) < _TAYLOR_RADIUS
+    safe = np.where(small, 1.0, t)
+    direct = (np.sin(safe) / safe - np.cos(safe)) / (safe * safe)
+    series = _polyval_even(_FUDGE_COEFFS, t)
+    return (2.0 / math.pi) * np.where(small, series, direct)
+
+
+_TENT_COMPONENTS = (
+    (2.0 / math.pi, "cos", 0.5, 2),
+    (-2.0 / math.pi, "cos", 1.0, 2),
+)
+_FUDGE_COMPONENTS = (
+    (2.0 / math.pi, "sin", 1.0, 3),
+    (-2.0 / math.pi, "cos", 1.0, 2),
+)
+
+
+def _dense_grid() -> np.ndarray:
+    seam = [np.nextafter(_TAYLOR_RADIUS, 0.0), _TAYLOR_RADIUS,
+            np.nextafter(_TAYLOR_RADIUS, 1.0)]
+    half = np.concatenate([
+        [0.0, 5e-324, 1e-300, 1e-160], seam,
+        np.linspace(0.0, 2e-4, 20001),
+        np.geomspace(1e-12, 1e6, 4001),
+        np.linspace(0.0, 60.0, 60001),
+    ])
+    return np.concatenate([half, -half])
+
+
+class TestDerivedFromPieces:
+    @pytest.mark.parametrize("kernel,reference,components", [
+        (TENT, _tent_time, _TENT_COMPONENTS),
+        (FUDGE, _fudge_time, _FUDGE_COMPONENTS),
+    ], ids=["tent", "fudge"])
+    def test_matches_hand_written_forms_bit_for_bit(self, kernel, reference, components):
+        t = _dense_grid()
+        assert kernel.time_eval(t).tobytes() == reference(t).tobytes()
+        assert kernel._components == components
+
+    def test_kernels_are_cached(self):
+        assert tent_kernel() is TENT
+        assert fudge_kernel() is FUDGE
+
+    def test_triangle_transform(self):
+        # psi = max(0, 1 - |s|) has a kink at s = 0, so its time profile
+        # (1 - cos t)/(pi t^2) carries a frequency-0 component
+        tri = _piecewise_kernel("triangle", ((0.0, 1.0, (1.0, -1.0)),))
+        assert not tri.flat_near_zero
+        t = _dense_grid()
+        small = np.abs(t) < _TAYLOR_RADIUS
+        safe = np.where(small, 1.0, t)
+        # (1 - cos t)/(pi t^2) = 2 sin^2(t/2)/(pi t^2), without the cancellation
+        exact = np.where(small, np.sinc(t / (2.0 * math.pi)) ** 2 / (2.0 * math.pi),
+                         2.0 * np.sin(0.5 * safe) ** 2 / (math.pi * safe * safe))
+        err = np.abs(tri.time_eval(t) - exact)
+        # the series is accurate to rounding; the direct form and the
+        # reference each to a few ulps of the numerator 1 - cos t
+        assert np.all(err[small] <= 1e-15 * exact[small])
+        eps = np.finfo(float).eps
+        assert np.all(err[~small] * math.pi * t[~small] ** 2 <= 8.0 * eps)
+        for s in (0.0, 0.25, 0.5, 0.75, 1.0, 2.0):
+            numeric = numeric_fourier(tri, s)
+            assert abs(numeric - float(tri.freq_eval(np.array(s)))) <= KERNEL_MATCH_TOLERANCE
+
+
 class TestFourierPairs:
     @pytest.mark.parametrize("kernel", [TENT, FUDGE], ids=["tent", "fudge"])
     @pytest.mark.parametrize("s", SIX_POINTS)
@@ -104,7 +211,7 @@ class TestFourierPairs:
 
     def test_unit_mass(self):
         for kernel in (TENT, FUDGE):
-            assert kernel.mass == pytest.approx(1.0, abs=1e-14)
+            assert kernel.freq_eval(np.array(0.0)) == 1.0
             assert numeric_fourier(kernel, 0.0) == pytest.approx(1.0, abs=1e-8)
 
 
@@ -224,9 +331,9 @@ class TestPrimitiveTail:
 
     def test_tail_near_zero_approaches_half_mass(self):
         # evenness puts half the unit mass on each side of the origin
-        for kernel in (TENT, FUDGE):
+        for kernel, peak in ((TENT, 3.0 / (4.0 * math.pi)), (FUDGE, 2.0 / (3.0 * math.pi))):
             near = tail_integral(kernel, 1e-3)
-            assert near == pytest.approx(0.5 - kernel.peak_value * 1e-3, abs=1e-6)
+            assert near == pytest.approx(0.5 - peak * 1e-3, abs=1e-6)
 
     def test_tail_requires_positive_start(self):
         with pytest.raises(ValueError, match="t > 0"):

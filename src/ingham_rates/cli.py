@@ -523,12 +523,11 @@ def _run_kernel_check(cfg: RunConfig):
     svals = _grid_values(cfg)
     rows = []
     worst = 0.0
-    for s in svals:
-        numeric = numeric_fourier(kernel, float(s), spec)
-        closed = float(kernel.freq_eval(np.asarray(float(s))))
+    for s, numeric in zip(svals.tolist(), numeric_fourier(kernel, svals, spec).tolist()):
+        closed = float(kernel.freq_eval(np.asarray(s)))
         worst = max(worst, abs(numeric - closed))
         ratio = numeric / closed if closed > 0.0 else math.nan
-        rows.append((float(s), numeric, closed, ratio))
+        rows.append((s, numeric, closed, ratio))
     failures = []
     if worst > KERNEL_MATCH_TOLERANCE:
         failures.append(
@@ -593,11 +592,11 @@ def _run_raw_oracle(cfg: RunConfig):
             f"[grid] min={ts[0]:g} is below the bound's validity threshold"
             f" t_min={bound.t_min:.6g}"
         )
-    closed_values = bound(ts)
+    closed_values, inverse = bound.evaluate(ts)
     if variant == "infinity_ck":
-        raws, _ = raw_bound_ck(growth, k, bound.c, ts)
+        raws, _ = raw_bound_ck(growth, k, bound.c, ts, inverse=inverse)
     else:
-        raws, _ = raw_bound_smooth(growth, bound.c, ts)
+        raws, _ = raw_bound_smooth(growth, bound.c, ts, inverse=inverse)
     rows = []
     failures = []
     for t, raw, closed in zip(ts.tolist(), raws.tolist(), closed_values.tolist()):

@@ -33,7 +33,9 @@ import numpy as np
 from numpy.polynomial import Polynomial
 from numpy.polynomial.polynomial import polyval
 
-from .quadrature import NonConvergenceError, QuadratureSpec, integrate, integrate_oscillatory
+from .quadrature import NonConvergenceError, QuadratureSpec, _oscillatory_rows, integrate
+# bound by name for bench/tracing.py, which wraps kernels.integrate_oscillatory
+from .quadrature import integrate_oscillatory  # noqa: F401
 
 __all__ = [
     "Kernel",
@@ -316,24 +318,40 @@ def _build_bump(transition_sharpness: float) -> Kernel:
     )
 
 
-def _component_tail(coef: float, trig: str, freq: float, power: int, t_from: float,
-                    spec: QuadratureSpec) -> tuple[float, float]:
-    """Integral of coef * trig(freq * u) / u**power over [t_from, inf)."""
-    if freq == 0.0:
-        if trig == "sin":
-            return 0.0, 0.0
-        return coef * t_from ** (1 - power) / (power - 1), 0.0
-    phase = 0.0 if trig == "cos" else -0.5 * math.pi
-    sign = 1.0
-    if freq < 0.0:
-        freq = -freq
-        if trig == "sin":
-            sign = -1.0
-    res = integrate_oscillatory(lambda u: u ** (-float(power)), freq, t_from,
-                                phase=phase, spec=spec)
-    if not res.converged:
-        raise NonConvergenceError("oscillatory tail integration did not converge")
-    return sign * coef * res.value, abs(coef) * res.error
+def _component_tails(rows, t_from: float, spec: QuadratureSpec) -> tuple[list, dict]:
+    """Integrals of coef * trig(freq * u) / u**power over [t_from, inf), one per row.
+
+    ``rows`` holds ``(coef, trig, freq, power)`` tuples.  The oscillating
+    rows share one :func:`_oscillatory_rows` call.  Returns the values and a
+    dict mapping the index of each row whose integral failed to the error
+    that reports it.
+    """
+    values = [0.0] * len(rows)
+    osc, scales, alphas, phases, exponents = [], [], [], [], []
+    for i, (coef, trig, freq, power) in enumerate(rows):
+        if freq == 0.0:
+            if trig == "cos":
+                values[i] = coef * t_from ** (1 - power) / (power - 1)
+            continue
+        osc.append(i)
+        # sin is odd: a negative frequency flips the sign
+        scales.append(-coef if freq < 0.0 and trig == "sin" else coef)
+        alphas.append(abs(freq))
+        phases.append(0.0 if trig == "cos" else -0.5 * math.pi)
+        exponents.append(-float(power))
+    exponents = np.array(exponents)
+    value, _, converged, failures = _oscillatory_rows(
+        lambda u, r: u ** exponents[r][:, None], np.array(alphas), np.array(phases),
+        t_from, spec)
+    errors = {}
+    for j, (i, scale) in enumerate(zip(osc, scales)):
+        if j in failures:
+            errors[i] = failures[j]
+        elif not converged[j]:
+            errors[i] = NonConvergenceError("oscillatory tail integration did not converge")
+        else:
+            values[i] = scale * float(value[j])
+    return values, errors
 
 
 def tail_integral(kernel: Kernel, t: float, spec: Optional[QuadratureSpec] = None) -> float:
@@ -348,9 +366,11 @@ def tail_integral(kernel: Kernel, t: float, spec: Optional[QuadratureSpec] = Non
     if t <= 0.0:
         raise ValueError("tail integral requires t > 0")
     if kernel._components:
+        values, errors = _component_tails(kernel._components, t, spec)
+        if errors:
+            raise errors[min(errors)]
         total = 0.0
-        for coef, trig, freq, power in kernel._components:
-            val, _ = _component_tail(coef, trig, freq, power, t, spec)
+        for val in values:
             total += val
         return total
     cutoff = kernel.time_cutoff
@@ -360,33 +380,46 @@ def tail_integral(kernel: Kernel, t: float, spec: Optional[QuadratureSpec] = Non
     return res.value
 
 
-def numeric_fourier(kernel: Kernel, s: float, spec: Optional[QuadratureSpec] = None) -> float:
+def numeric_fourier(kernel: Kernel, s, spec: Optional[QuadratureSpec] = None):
     """Fourier transform of phi at s computed from the time profile.
 
     Independent of ``freq_eval``: closed-form kernels integrate
     ``2 * phi(t) * cos(s t)`` adaptively on [0, 1] and resolve the tails via
     product-to-sum trigonometric decomposition; tabulated kernels integrate
-    the spline over its window.
+    the spline over its window.  ``s`` is a scalar, giving a float, or an
+    array, giving an array of its shape; the tails of all points are summed
+    together.
     """
     if spec is None:
         spec = QuadratureSpec()
-    s = float(s)
+    grid = np.asarray(s, dtype=float)
+    points = grid.ravel().tolist()
+    out = np.empty(len(points))
     if kernel._components:
-        head = integrate(lambda t: kernel.time_eval(t) * np.cos(s * t), 0.0, 1.0, spec)
-        if not head.converged:
-            raise NonConvergenceError("head integration did not converge")
-        total = head.value
-        for coef, trig, freq, power in kernel._components:
-            # trig(freq*t) * cos(s*t) splits into half-amplitude components
-            # at the shifted frequencies freq + s and freq - s.
-            for f_shift in (freq + s, freq - s):
-                val, _ = _component_tail(0.5 * coef, trig, f_shift, power, 1.0, spec)
-                total += val
-        return 2.0 * total
-    osc = replace(spec, max_subdivisions=max(spec.max_subdivisions, 40000),
-                  oscillation_frequency=max(abs(s), 1.0))
-    res = integrate(lambda t: kernel.time_eval(t) * np.cos(s * t), 0.0, kernel.time_cutoff, osc)
-    if not res.converged:
-        raise NonConvergenceError("transform integration did not converge")
-    return 2.0 * res.value
-
+        # trig(freq*t) * cos(s*t) splits into half-amplitude components
+        # at the shifted frequencies freq + s and freq - s.
+        rows = [(0.5 * coef, trig, f_shift, power) for sv in points
+                for coef, trig, freq, power in kernel._components
+                for f_shift in (freq + sv, freq - sv)]
+        tails, errors = _component_tails(rows, 1.0, spec)
+        per = 2 * len(kernel._components)
+        for j, sv in enumerate(points):
+            head = integrate(lambda t: kernel.time_eval(t) * np.cos(sv * t), 0.0, 1.0, spec)
+            if not head.converged:
+                raise NonConvergenceError("head integration did not converge")
+            total = head.value
+            for i in range(j * per, (j + 1) * per):
+                if i in errors:
+                    raise errors[i]
+                total += tails[i]
+            out[j] = 2.0 * total
+    else:
+        for j, sv in enumerate(points):
+            osc = replace(spec, max_subdivisions=max(spec.max_subdivisions, 40000),
+                          oscillation_frequency=max(abs(sv), 1.0))
+            res = integrate(lambda t: kernel.time_eval(t) * np.cos(sv * t), 0.0,
+                            kernel.time_cutoff, osc)
+            if not res.converged:
+                raise NonConvergenceError("transform integration did not converge")
+            out[j] = 2.0 * res.value
+    return float(out[0]) if grid.ndim == 0 else out.reshape(grid.shape)

@@ -416,6 +416,16 @@ class RateBound:
     _decay_fn: Optional[ComposedRate] = field(repr=False, default=None)
 
     def __call__(self, t):
+        return self.evaluate(t)[0]
+
+    def evaluate(self, t):
+        """The bound at t and the growth composition's inverse at c*t.
+
+        The inverse is shaped like t, and None for ``zero_ck`` and
+        ``zero_smooth``, which have no growth rate.  :func:`raw_bound_ck`
+        and :func:`raw_bound_smooth` take it as ``inverse``, so an oracle
+        run against this bound inverts once.
+        """
         arr, scalar = _as_array(t)
         if np.any(arr < self.t_min * (1.0 - 1e-12)):
             raise BoundDomainError(
@@ -439,7 +449,9 @@ class RateBound:
             total += 1.0 / growth_x
         if self.variant in ("zero_ck", "zero_smooth", "zero_infinity_smooth"):
             total += 1.0 / flat
-        return _ret(total.reshape(arr.shape), scalar)
+        if growth_x is not None:
+            growth_x = _ret(growth_x.reshape(arr.shape), scalar)
+        return _ret(total.reshape(arr.shape), scalar), growth_x
 
 
 def make_bound(
@@ -572,42 +584,47 @@ def _minimise_rows(logf, p: np.ndarray, u_max: np.ndarray) -> tuple[np.ndarray, 
             _libm(math.exp, np.where(best, x1, x2)))
 
 
-def _search_radii(composed: ComposedRate, y: np.ndarray) -> np.ndarray:
+def _search_radii(composed: ComposedRate, y: np.ndarray, inverse) -> np.ndarray:
     """Upper search radius per target: 1e3 * composed^{-1}(y), within [1e6, 1e250].
 
-    One array inversion for all targets; a target beyond the attained
-    range counts as composed^{-1}(y) = 1e6, so its radius is 1e9.
+    ``inverse`` holds composed^{-1}(y) when the caller has it; otherwise one
+    array inversion finds it for all targets, and a target beyond the
+    attained range counts as composed^{-1}(y) = 1e6, so its radius is 1e9.
     """
-    r_star, failures = _invert(composed, y)
-    for i in sorted(failures):
-        if not isinstance(failures[i], InversionRangeError):
-            raise failures[i]
-        r_star[i] = 1e6
+    if inverse is None:
+        r_star, failures = _invert(composed, y)
+        for i in sorted(failures):
+            if not isinstance(failures[i], InversionRangeError):
+                raise failures[i]
+            r_star[i] = 1e6
+    else:
+        r_star = np.asarray(inverse, dtype=float).ravel()
     return np.minimum(np.maximum(1e6, 1e3 * np.maximum(r_star, 1.0)), 1e250)
 
 
 def _raw_minima(logf, param: Callable[[np.ndarray], np.ndarray],
-                composed: ComposedRate, c: float, t):
+                composed: ComposedRate, c: float, t, inverse):
     """Minimise exp(logf(u, param(t))) for every t of a scalar or 1-d grid."""
     flat, scalar = _as_array(t)
     if c <= 0.0 or np.any(flat <= 0.0):
         raise ValueError("c and t must be positive")
-    u_max = _libm(math.log, _search_radii(composed, c * flat))
+    u_max = _libm(math.log, _search_radii(composed, c * flat, inverse))
     values, argmins = _minimise_rows(logf, param(flat), u_max)
     if scalar:
         return float(values[0]), float(argmins[0])
     return values, argmins
 
 
-def raw_bound_ck(growth: MonotoneFunction, k: int, c: float, t):
+def raw_bound_ck(growth: MonotoneFunction, k: int, c: float, t, *, inverse=None):
     """Minimise 1/R + R * M(R)**(k+1) / t**k over R >= 1.
 
     Returns (value, argmin) for a scalar t, or arrays of both for a 1-d
     t-grid.  For each t the search scans a 400-point logarithmic grid up
     to ``max(1e6, 1e3 * Mk^{-1}(c*t))`` and refines with golden-section
     iterations to relative tolerance 1e-6 in log R.  The inverses for all
-    t come from one array inversion, and all t scan and refine in
-    lockstep, each with the steps of its one-point search.
+    t come from ``inverse`` when given (as :meth:`RateBound.evaluate`
+    returns them) or from one array inversion, and all t scan and refine
+    in lockstep, each with the steps of its one-point search.
     """
     _require_kind(growth, "growth")
     _require_k(k)
@@ -618,16 +635,17 @@ def raw_bound_ck(growth: MonotoneFunction, k: int, c: float, t):
         return np.where(np.isfinite(M), val, np.inf)
 
     return _raw_minima(logf, lambda ts: k * _libm(math.log, ts),
-                       ComposedRate(growth, k), c, t)
+                       ComposedRate(growth, k), c, t, inverse)
 
 
-def raw_bound_smooth(growth: MonotoneFunction, c: float, t):
+def raw_bound_smooth(growth: MonotoneFunction, c: float, t, *, inverse=None):
     """Minimise (1/R) * ((1+R)**2 * M(R)**2 * exp(-2*c*t/M(R)) + 1) over R >= 1.
 
     Returns (value, argmin) for a scalar t, or arrays of both for a 1-d
     t-grid; same grid-scan plus golden-section refinement as
-    :func:`raw_bound_ck`, evaluated in log space so the exponentially
-    small terms do not underflow prematurely.
+    :func:`raw_bound_ck` (``inverse`` holds M_log^{-1}(c*t)), evaluated in
+    log space so the exponentially small terms do not underflow
+    prematurely.
     """
     _require_kind(growth, "growth")
 
@@ -637,4 +655,4 @@ def raw_bound_smooth(growth: MonotoneFunction, c: float, t):
         big = 2.0 * _libm(math.log1p, R) + 2.0 * _libm(math.log, M) - two_ct / M
         return np.where(np.isfinite(M), np.logaddexp(big, 0.0) - u, np.inf)
 
-    return _raw_minima(logf, lambda ts: 2.0 * c * ts, ComposedRate(growth), c, t)
+    return _raw_minima(logf, lambda ts: 2.0 * c * ts, ComposedRate(growth), c, t, inverse)

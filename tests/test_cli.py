@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ingham_rates import cli
+from ingham_rates import cli, rate_functions
 from ingham_rates.cli import ConfigError, parse_config
 from ingham_rates.quadrature import NonConvergenceError
 from ingham_rates.rate_functions import SearchBracketError
@@ -267,6 +267,27 @@ class TestConfigParsing:
         text = BOUND_SMOOTH.replace("c = 0.45", f"c = {c!r}")
         with pytest.raises(ConfigError, match="outside admissible interval"):
             parse_config(text)
+
+
+class TestRawOracle:
+    @pytest.mark.parametrize("variant,constant", [("infinity_ck", "k = 2"),
+                                                  ("infinity_smooth", "c = 0.45")])
+    def test_one_inversion_per_op(self, tmp_path, monkeypatch, variant, constant):
+        # the bound evaluation hands its inverses to the raw search, which
+        # would otherwise invert the same composition at the same targets
+        calls = []
+        invert = rate_functions._invert
+
+        def spy(f, y):
+            calls.append(y.size)
+            return invert(f, y)
+
+        monkeypatch.setattr(rate_functions, "_invert", spy)
+        text = (f"[growth]\nfamily = power\nalpha = 1.0\n"
+                f"[bound]\nvariant = {variant}\n{constant}\n"
+                f"[output]\npath = {tmp_path / 'op'}\n")
+        assert cli.run(parse_config(text, experiment="raw_bound_oracle")) == 0
+        assert calls == [21]
 
 
 class TestReports:

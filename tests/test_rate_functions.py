@@ -355,6 +355,26 @@ class TestRawBounds:
         assert values.tolist() == [v for v, _ in pointwise]
         assert argmins.tolist() == [r for _, r in pointwise]
 
+    @pytest.mark.parametrize("variant", ["infinity_ck", "infinity_smooth"])
+    @pytest.mark.parametrize("family", ["power", "exponential"])
+    def test_inverse_from_the_bound_gives_the_same_minima(self, variant, family):
+        # the inverse a bound evaluation returns is the one the oracle would
+        # find itself, so passing it changes no bit of values or argmins
+        growth = {"power": MonotoneFunction.power_growth(1.0),
+                  "exponential": MonotoneFunction.exponential_growth(0.5)}[family]
+        bound = make_bound(variant, growth=growth, k=2 if variant == "infinity_ck" else None)
+        ts = np.geomspace(max(100.0, bound.t_min), 1e4, 21)
+        values, inverse = bound.evaluate(ts)
+        assert values.tolist() == bound(ts).tolist()
+        if variant == "infinity_ck":
+            given = raw_bound_ck(growth, 2, bound.c, ts, inverse=inverse)
+            own = raw_bound_ck(growth, 2, bound.c, ts)
+        else:
+            given = raw_bound_smooth(growth, bound.c, ts, inverse=inverse)
+            own = raw_bound_smooth(growth, bound.c, ts)
+        assert given[0].tolist() == own[0].tolist()
+        assert given[1].tolist() == own[1].tolist()
+
     @pytest.mark.parametrize("k", [1, 2, 3, None], ids=["k1", "k2", "k3", "smooth"])
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("family", ["power", "exponential"])

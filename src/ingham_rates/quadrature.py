@@ -163,19 +163,24 @@ def _refine(f: Callable, lo: list, hi: list, estimates: list,
         x = np.concatenate((0.5 * (a + mid) + h1 * _NODES, 0.5 * (mid + b) + h2 * _NODES))
         y = np.asarray(f(x), dtype=float).reshape(2, _NODES.size)
         (v1, e1), (v2, e2) = _estimates(y, (h1, h2))
-        total_value += (v1 + v2) - v
-        total_error += (e1 + e2) - e
         heapq.heappush(heap, (-e1, counter, a, mid, v1, e1))
         heapq.heappush(heap, (-e2, counter + 1, mid, b, v2, e2))
         counter += 2
         splits += 1
+        if math.isfinite(e):
+            total_value += (v1 + v2) - v
+            total_error += (e1 + e2) - e
+        else:
+            # subtracting a non-finite panel would leave NaN totals for good
+            total_value = sum(item[4] for item in heap)
+            total_error = sum(item[5] for item in heap)
 
     # Re-assemble in deterministic interval order to avoid drift from the
     # incremental bookkeeping above.
     panels = sorted((item[2], item[4], item[5]) for item in heap)
     value = float(sum(p[1] for p in panels))
     error = float(sum(p[2] for p in panels))
-    converged = error <= max(spec.abs_tol, spec.rel_tol * abs(value))
+    converged = math.isfinite(error) and error <= max(spec.abs_tol, spec.rel_tol * abs(value))
     return QuadResult(value, error, converged)
 
 
@@ -186,6 +191,7 @@ def integrate(f: Callable, a: float, b: float, spec: Optional[QuadratureSpec] = 
     once the summed panel error estimate drops below
     ``max(abs_tol, rel_tol * |value|)`` or the subdivision budget is spent
     (in which case the best estimate is returned flagged non-converged).
+    A result whose error estimate is not finite is never converged.
     ``f`` is called once at the nodes of all pre-split panels and once per
     split.  A complex-valued integrand is refined as two real integrals
     from that first call, with error estimates combined by ``max``.

@@ -115,12 +115,12 @@ class MonotoneFunction:
 
     def __call__(self, x):
         arr, scalar = _as_array(x)
+        # negated reductions, so that NaN fails the check too
         if self.kind == "growth":
-            if np.any(arr < 0.0):
+            if not (arr >= 0.0).all():
                 raise ValueError("growth rate argument must be non-negative")
-        else:
-            if np.any(arr <= 0.0) or np.any(arr > 1.0):
-                raise ValueError("decay rate argument must lie in (0, 1]")
+        elif not ((arr > 0.0) & (arr <= 1.0)).all():
+            raise ValueError("decay rate argument must lie in (0, 1]")
         with np.errstate(over="ignore"):
             out = np.asarray(self.evaluator(arr), dtype=float)
         return _ret(out, scalar)
@@ -345,21 +345,26 @@ def _invert(f, y: np.ndarray) -> tuple[np.ndarray, dict]:
         open_ = open_[~out]
 
     # Bisect in u, where f increases, until each residual is within slack.
-    u_lo, u_hi = _libm(to_u, near), _libm(to_u, far)
+    # The open elements' state is kept compacted and shrinks only on a hit.
     xt = np.full(todo.size, np.nan)
-    active, fx = np.flatnonzero(bracketed), np.empty(0)
+    active = np.flatnonzero(bracketed)
+    u_lo, u_hi = _libm(to_u, near[active]), _libm(to_u, far[active])
+    ya, sa, fx = yt[active], st[active], np.empty(0)
     for _ in range(600):
         if not active.size:
             break
-        u_mid = 0.5 * (u_lo[active] + u_hi[active])
+        u_mid = 0.5 * (u_lo + u_hi)
         xm = _libm(from_u, u_mid)
         fx = np.asarray(f(xm), dtype=float)
-        hit = np.abs(fx - yt[active]) <= st[active]
-        xt[active[hit]] = xm[hit]
-        rise = fx < yt[active]
-        u_lo[active[rise]] = u_mid[rise]
-        u_hi[active[~rise]] = u_mid[~rise]
-        active, fx = active[~hit], fx[~hit]
+        rise = fx < ya
+        u_lo = np.where(rise, u_mid, u_lo)
+        u_hi = np.where(rise, u_hi, u_mid)
+        hit = np.abs(fx - ya) <= sa
+        if hit.any():
+            xt[active[hit]] = xm[hit]
+            keep = ~hit
+            active, u_lo, u_hi = active[keep], u_lo[keep], u_hi[keep]
+            ya, sa, fx = ya[keep], sa[keep], fx[keep]
     for j, fv in zip(active.tolist(), fx.tolist()):
         failures[int(todo[j])] = InversionRangeError(
             f"bisection did not reach |f(x) - y| <= {float(st[j])!r};"

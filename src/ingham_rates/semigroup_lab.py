@@ -55,6 +55,12 @@ __all__ = [
 
 ORBIT_KINDS = ("ainv", "ar_omega", "ar_omega_sq", "vector")
 
+# most cells (times x modes) that orbit_norm evaluates at once
+_ORBIT_CELLS = 1 << 16
+# modes on each side of x in the nearest-ordinate window of _resolvent_peak
+_HALF_WINDOW = 4
+_WINDOW = np.arange(2 * _HALF_WINDOW)
+
 
 @dataclass(frozen=True, eq=False)
 class DiagonalOperator:
@@ -197,12 +203,24 @@ def orbit_norm(scenario: Scenario, t):
 
     For the operator orbit kinds this is the operator norm
     ``max_n |coef_n| exp(Re lambda_n t)`` (independent of x); for
-    ``vector`` it is the sup-norm of the componentwise orbit.
+    ``vector`` it is the sup-norm of the componentwise orbit.  The times
+    are taken in blocks of rows of at most ``_ORBIT_CELLS`` cells (one row
+    per block when there are more modes), each evaluated in place in one
+    buffer, so the full times-by-modes matrix is never built.
     """
     amps = _orbit_amplitudes(scenario)
-    sigma = scenario.operator.eigenvalues.real
+    sigma = np.ascontiguousarray(scenario.operator.eigenvalues.real)
     arr = np.asarray(t, dtype=float)
-    vals = np.max(amps[None, :] * np.exp(np.outer(np.atleast_1d(arr), sigma)), axis=1)
+    flat = arr.ravel()
+    vals = np.empty(flat.size)
+    rows = max(1, _ORBIT_CELLS // sigma.size)
+    buffer = np.empty((min(rows, flat.size), sigma.size))
+    for start in range(0, flat.size, rows):
+        block = buffer[:min(rows, flat.size - start)]
+        np.multiply(flat[start:start + rows, None], sigma, out=block)
+        np.exp(block, out=block)
+        block *= amps
+        block.max(axis=1, out=vals[start:start + rows])
     return float(vals[0]) if arr.ndim == 0 else vals.reshape(arr.shape)
 
 
@@ -256,27 +274,46 @@ def _folded_spectrum(operator: DiagonalOperator) -> tuple[np.ndarray, np.ndarray
     return np.abs(lam.imag)[order], np.abs(lam.real)[order]
 
 
-def _resolvent_peak(ordinates: np.ndarray, damping: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _padded_spectrum(ordinates: np.ndarray, damping: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ordinates and squared damping with ``_HALF_WINDOW`` sentinel modes on each side.
+
+    A sentinel has squared damping inf, so its squared distance to every
+    x >= 0 (inf included) is inf, and the nearest-ordinate window of
+    :func:`_resolvent_peak` needs no clipping at the ends of the spectrum.
+    """
+    zeros, infs = np.zeros(_HALF_WINDOW), np.full(_HALF_WINDOW, np.inf)
+    return (np.concatenate([zeros, ordinates, zeros]),
+            np.concatenate([infs, damping ** 2, infs]))
+
+
+def _resolvent_peak(padded: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
     """max(1, ||R(i x)||, ||R(-i x)||) for every x >= 0, exactly.
 
-    The eight modes nearest in ordinate give a first distance d.  A mode
-    outside that window can only matter if its ordinate lies within
-    min(1, d) of x (beyond 1 the clamp decides), so rows whose such range
-    leaves the window are rescanned over the whole range in one pass.
+    ``padded`` is the folded spectrum from :func:`_padded_spectrum`.  The
+    eight modes nearest in ordinate (sentinels beyond the ends) give a
+    first distance d.  A mode outside that window can only matter if its
+    ordinate lies within min(1, d) of x (beyond 1 the clamp decides), so
+    rows whose such range leaves the window are rescanned over the whole
+    range in one pass.
     """
-    last = ordinates.size - 1
+    window_ordinates, window_damping2 = padded
+    ordinates = window_ordinates[_HALF_WINDOW:-_HALF_WINDOW]
+    damping2 = window_damping2[_HALF_WINDOW:-_HALF_WINDOW]
     j = np.searchsorted(ordinates, x)
-    near = np.clip(j[:, None] + np.arange(-4, 4), 0, last)
-    d = np.sqrt(np.min(damping[near] ** 2 + (x[:, None] - ordinates[near]) ** 2, axis=1))
+    near = j[:, None] + _WINDOW
+    d2 = x[:, None] - window_ordinates[near]
+    d2 *= d2
+    d2 += window_damping2[near]
+    d = np.sqrt(d2.min(axis=1))
     reach = np.minimum(d, 1.0)
     lo = np.searchsorted(ordinates, x - reach)
     hi = np.searchsorted(ordinates, x + reach, "right")
-    wide = np.flatnonzero((lo < j - 4) | (hi > j + 4))
+    wide = np.flatnonzero((lo < j - _HALF_WINDOW) | (hi > j + _HALF_WINDOW))
     if wide.size:
         counts = hi[wide] - lo[wide]
         starts = np.cumsum(counts) - counts
         cols = np.arange(int(counts.sum())) + np.repeat(lo[wide] - starts, counts)
-        d2 = damping[cols] ** 2 + (np.repeat(x[wide], counts) - ordinates[cols]) ** 2
+        d2 = damping2[cols] + (np.repeat(x[wide], counts) - ordinates[cols]) ** 2
         d[wide] = np.sqrt(np.minimum.reduceat(d2, starts))
     return 1.0 / np.minimum(d, 1.0)
 
@@ -298,16 +335,17 @@ def resolvent_envelope_growth(
     compatibility and ignored: no table is built.
     """
     ordinates, damping = _folded_spectrum(operator)
+    padded = _padded_spectrum(ordinates, damping)
     s_min = float(s_min)
     keep = ordinates >= s_min
     peaks_at = ordinates[keep]
-    highest = np.maximum.accumulate(np.concatenate([[1.0], 1.0 / damping[keep]]))
-    floor = _resolvent_peak(ordinates, damping, np.array([s_min]))
+    # the norm at s_min joins every prefix maximum of the peaks
+    floor = _resolvent_peak(padded, np.array([s_min]))
+    highest = np.maximum(floor, np.maximum.accumulate(np.concatenate([[1.0], 1.0 / damping[keep]])))
 
     def evaluate(R: np.ndarray) -> np.ndarray:
         R = np.maximum(R, s_min)
-        inner = highest[np.searchsorted(peaks_at, R, "right")]
-        return np.maximum(np.maximum(floor, inner), _resolvent_peak(ordinates, damping, R))
+        return np.maximum(highest[np.searchsorted(peaks_at, R, "right")], _resolvent_peak(padded, R))
 
     return MonotoneFunction("growth", evaluate,
                             f"resolvent growth[{operator.size} modes, |s| >= {s_min:g}]")
@@ -325,14 +363,16 @@ def resolvent_envelope_decay(
     accepted for compatibility and ignored: no table is built.
     """
     ordinates, damping = _folded_spectrum(operator)
+    padded = _padded_spectrum(ordinates, damping)
     keep = ordinates <= 1.0
     peaks_at = ordinates[keep]
-    highest = np.maximum.accumulate(np.concatenate([1.0 / damping[keep], [1.0]])[::-1])[::-1]
-    floor = _resolvent_peak(ordinates, damping, np.array([1.0]))
+    # the norm at 1 joins every suffix maximum of the peaks
+    floor = _resolvent_peak(padded, np.array([1.0]))
+    highest = np.maximum(
+        floor, np.maximum.accumulate(np.concatenate([1.0 / damping[keep], [1.0]])[::-1])[::-1])
 
     def evaluate(r: np.ndarray) -> np.ndarray:
-        inner = highest[np.searchsorted(peaks_at, r, "left")]
-        peak = np.maximum(np.maximum(floor, inner), _resolvent_peak(ordinates, damping, r))
+        peak = np.maximum(highest[np.searchsorted(peaks_at, r, "left")], _resolvent_peak(padded, r))
         return np.maximum(peak, 1.0 / r)
 
     return MonotoneFunction("decay", evaluate,

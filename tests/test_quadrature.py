@@ -92,6 +92,26 @@ class TestFiniteInterval:
         assert abs(tight.value - res.value) <= tight.error
 
 
+    def test_infinite_integrand_value_is_not_converged(self):
+        # the midpoint of [0, 1] is a Kronrod node, so the first panel is inf
+        res = integrate(lambda x: np.where(x == 0.5, np.inf, np.exp(x)), 0.0, 1.0)
+        assert res.value == math.inf
+        assert not res.converged
+
+    def test_nan_panel_split_keeps_finite_totals(self):
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.where(x == 0.5, np.nan, np.exp(x))
+
+        res = integrate(f, 0.0, 1.0)
+        # the split halves miss x = 0.5 and converge at once
+        assert len(calls) == 2
+        assert res.converged
+        assert res.value == pytest.approx(math.e - 1.0, rel=1e-14)
+
+
 class TestOscillatoryTail:
     def test_cosine_tail_quadratic_envelope(self):
         res = integrate_oscillatory(lambda u: u ** -2.0, 3.0, 2.0)

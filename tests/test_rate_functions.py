@@ -118,6 +118,20 @@ class TestDomainsAndValidation:
         with pytest.raises(ValueError, match=r"\(0, 1\]"):
             m(1.5)
 
+    def test_growth_rejects_nan_argument(self):
+        M = MonotoneFunction.power_growth(1.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            M(math.nan)
+        with pytest.raises(ValueError, match="non-negative"):
+            M(np.array([1.0, math.nan, 2.0]))
+
+    def test_decay_rejects_nan_argument(self):
+        m = MonotoneFunction.power_decay(1.0)
+        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+            m(math.nan)
+        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+            m(np.array([0.5, math.nan]))
+
     def test_values_must_reach_one(self):
         with pytest.raises(ValueError, match="at least 1"):
             MonotoneFunction.constant_growth(0.5)

@@ -1,6 +1,7 @@
 """Tests for the diagonal-operator models, orbits, and resolvent envelopes."""
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -9,9 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ingham_rates.semigroup_lab import (
+    _ORBIT_CELLS,
     DiagonalOperator,
     ORBIT_KINDS,
     Scenario,
+    _folded_spectrum,
+    _orbit_amplitudes,
+    _padded_spectrum,
+    _resolvent_peak,
     boundary_function,
     cluster_infinity,
     cluster_zero,
@@ -300,6 +306,121 @@ class TestExactEnvelopes:
     def test_decay_clamp_holds_below_every_ordinate(self):
         m = resolvent_envelope_decay(single_mode(-1.0))
         assert float(m(1e-4)) == pytest.approx(1e4, rel=1e-12)
+
+
+def _reference_orbit_norm(scenario: Scenario, t):
+    """orbit_norm from the full times-by-modes matrix, kept as the reference."""
+    amps = _orbit_amplitudes(scenario)
+    sigma = scenario.operator.eigenvalues.real
+    arr = np.asarray(t, dtype=float)
+    vals = np.max(amps[None, :] * np.exp(np.outer(np.atleast_1d(arr), sigma)), axis=1)
+    return float(vals[0]) if arr.ndim == 0 else vals.reshape(arr.shape)
+
+
+def _assert_bitwise(got, want):
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class TestOrbitNormMatchesReference:
+    def test_every_orbit_kind(self):
+        op = mixed_cluster(1.0, 2.0, 30, 30)
+        x = np.random.default_rng(5).normal(size=(op.size, 2)) @ np.array([1.0, 1j])
+        t = np.concatenate([[0.0], np.geomspace(1e-3, 1e4, 41)])
+        for kind in ORBIT_KINDS:
+            sc = Scenario(op, kind, omega=2.5, x=x)
+            _assert_bitwise(orbit_norm(sc, t), _reference_orbit_norm(sc, t))
+
+    def test_scalar_two_dimensional_and_zero_time(self):
+        sc = Scenario(cluster_zero(2.0, 50), "ar_omega")
+        for t in (0.0, 7.25, np.float64(3.0), np.geomspace(1.0, 1e3, 12).reshape(3, 4),
+                  np.zeros(3), np.array([5.0]), np.empty(0)):
+            _assert_bitwise(orbit_norm(sc, t), _reference_orbit_norm(sc, t))
+
+    def test_mode_counts_around_the_block_size(self):
+        t = np.geomspace(1.0, 1e4, 7)
+        # three rows per block (a short last block), then one row per block
+        for n in (_ORBIT_CELLS // 3, _ORBIT_CELLS + 3):
+            sc = Scenario(cluster_infinity(1.0, n), "ainv")
+            _assert_bitwise(orbit_norm(sc, t), _reference_orbit_norm(sc, t))
+
+    def test_memory_stays_bounded(self):
+        # the full 61 x 40000 matrix and its exponential take 39 MB
+        sc = Scenario(cluster_infinity(1.0, 40000), "ainv")
+        t = np.geomspace(10.0, 1e4, 61)
+        tracemalloc.start()
+        try:
+            orbit_norm(sc, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+
+
+def _reference_resolvent_peak(ordinates, damping, x):
+    """_resolvent_peak with a clipped window on the unpadded spectrum, kept as the reference."""
+    last = ordinates.size - 1
+    j = np.searchsorted(ordinates, x)
+    near = np.clip(j[:, None] + np.arange(-4, 4), 0, last)
+    d = np.sqrt(np.min(damping[near] ** 2 + (x[:, None] - ordinates[near]) ** 2, axis=1))
+    reach = np.minimum(d, 1.0)
+    lo = np.searchsorted(ordinates, x - reach)
+    hi = np.searchsorted(ordinates, x + reach, "right")
+    wide = np.flatnonzero((lo < j - 4) | (hi > j + 4))
+    if wide.size:
+        counts = hi[wide] - lo[wide]
+        starts = np.cumsum(counts) - counts
+        cols = np.arange(int(counts.sum())) + np.repeat(lo[wide] - starts, counts)
+        d2 = damping[cols] ** 2 + (np.repeat(x[wide], counts) - ordinates[cols]) ** 2
+        d[wide] = np.sqrt(np.minimum.reduceat(d2, starts))
+    return 1.0 / np.minimum(d, 1.0)
+
+
+def _wide_rows(ordinates, damping, x):
+    """How many x take the rescan: a mode within min(1, d) lies outside the window."""
+    j = np.searchsorted(ordinates, x)
+    d = 1.0 / _reference_resolvent_peak(ordinates, damping, x)
+    lo = np.searchsorted(ordinates, x - d)
+    hi = np.searchsorted(ordinates, x + d, "right")
+    return int(np.sum((lo < j - 4) | (hi > j + 4)))
+
+
+class TestResolventPeakMatchesReference:
+    @staticmethod
+    def _check(op, x):
+        ordinates, damping = _folded_spectrum(op)
+        got = _resolvent_peak(_padded_spectrum(ordinates, damping), x)
+        _assert_bitwise(got, _reference_resolvent_peak(ordinates, damping, x))
+
+    @staticmethod
+    def _points(op):
+        ordinates, _ = _folded_spectrum(op)
+        return np.concatenate([
+            [0.0, 1.0, ordinates[-1] * 1.5 + 1.0, ordinates[-1] + 1e3, math.inf],
+            ordinates, np.nextafter(ordinates, 0.0), np.nextafter(ordinates, math.inf),
+            np.linspace(0.0, ordinates[-1] + 2.0, 97),
+        ])
+
+    def test_spectra_narrower_than_the_window(self):
+        for n in (1, 3, 7):
+            for op in (cluster_infinity(1.0, n), cluster_zero(2.0, n), single_mode(-0.5 + 2j)):
+                self._check(op, self._points(op))
+
+    def test_rows_that_take_the_wide_rescan(self):
+        k = np.arange(1, 101)
+        crowded = DiagonalOperator(np.concatenate([-100.0 + 0.001j * k, [-0.001 + 0.2j]]))
+        # beta < 2: the zero family's damping n^-beta outgrows its ordinate spacing n^-2
+        for op in (mixed_cluster(0.5, 1.2, 16, 1000), mixed_cluster(1.0, 1.5, 40, 200), crowded):
+            x = np.concatenate([self._points(op), np.geomspace(1e-4, 1.0, 200)])
+            assert _wide_rows(*_folded_spectrum(op), x) > 0
+            self._check(op, x)
+
+    def test_envelope_floor_points(self):
+        for op in (cluster_infinity(1.0, 5), cluster_zero(2.0, 300),
+                   mixed_cluster(1.5, 2.0, 16, 1000), single_mode(-2.0 + 0.5j)):
+            for floor in (0.0, 1.0):
+                self._check(op, np.array([floor]))
 
 
 class TestBoundaryFunction:

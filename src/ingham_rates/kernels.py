@@ -19,7 +19,10 @@ Three kernels are provided:
 Tent and fudge state only their transform, as polynomial pieces, and this
 module is the one reader of that format: it derives from the pieces the
 time profile, its tail components and its small-|t| Taylor series, and the
-pieces of 1 - psi that the defect engine integrates.
+pieces of 1 - psi that the defect engine integrates.  It also evaluates
+G(z) = e^z E1(z) and the remainders of its asymptotic series, which give
+both the defect engine's closed form and the components' tails
+``int_a^inf trig(f u) u^-p du``, with no quadrature.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 from numpy.polynomial.polynomial import polyval
 
-from .quadrature import NonConvergenceError, QuadratureSpec, _oscillatory_rows, integrate
+from .quadrature import NonConvergenceError, QuadratureSpec, integrate
 # bound by name for bench/tracing.py, which wraps kernels.integrate_oscillatory
 from .quadrature import integrate_oscillatory  # noqa: F401
 
@@ -55,6 +58,100 @@ class KernelTabulationError(RuntimeError):
 _TAYLOR_RADIUS = 1e-4
 _TAYLOR_TERMS = 6
 _TRIG = {"cos": np.cos, "sin": np.sin}
+
+
+# -- G(z) = e^z E1(z) and its asymptotic remainders ---------------------------
+
+_CHUNK = 1 << 18  # (mode, point) pairs held in memory at once
+_SERIES_RADIUS = 40.0  # |z| from which e^z E1(z) is summed asymptotically
+_SERIES_TERMS = 40
+# the continued fraction for e^z E1(z) takes, on each band of |z| from
+# [4, 12) to [32, 40), the depth that brings it to about 1e-15 on
+# |Im z| = 4 + |Re z|/2, where it converges slowest
+_FRACTION_EDGES = np.array([12.0, 16.0, 24.0, 32.0])
+_FRACTION_DEPTHS = np.array([50, 38, 28, 18, 12])
+
+
+def _g_near(x: np.ndarray) -> np.ndarray:
+    """G(x) = e^x E1(x), principal branch, for |x| < 40 and Re x <= 0.
+
+    Where |Im x| >= 4 + |Re x|/2 the continued fraction
+    ``G = 1/(x+1 - 1/(x+3 - 4/(x+5 - ...)))`` is cut at the depth that
+    ``_FRACTION_DEPTHS`` gives for |x|.  It converges slowly near 0 and near
+    the cut, the negative real axis, so the rest sums the convergent series
+    ``E1(x) = -gamma - Log x - sum_{k>=1} (-x)^k / (k k!)`` to
+    k = e max|x| + 25.  There the sum of its terms' moduli exceeds |E1|
+    by at most e^{|x| - |Re x|} < e^6, so little cancels.  np.log keeps the sign
+    of a zero Im x: on the cut, Im x = +0.0 takes the side Im x > 0 and
+    -0.0 the side Im x < 0.
+    """
+    g = np.empty(x.shape, dtype=complex)
+    frac = np.abs(x.imag) >= 4.0 + 0.5 * np.abs(x.real)
+    # points sorted deepest first, so that each level updates a prefix; an
+    # int8 band makes the stable sort a radix sort
+    idx = np.flatnonzero(frac)
+    band = np.searchsorted(_FRACTION_EDGES, np.abs(x[idx]), side="right").astype(np.int8)
+    idx = idx[np.argsort(band, kind="stable")]
+    depth = np.repeat(_FRACTION_DEPTHS, np.bincount(band, minlength=_FRACTION_DEPTHS.size))
+    levels = np.arange(_FRACTION_DEPTHS[0], 0, -1)
+    active = np.searchsorted(-depth, -levels, side="right")  # points with depth >= k
+    z = x[idx]
+    f = z + (2 * depth + 1)
+    for k, m in zip(levels.tolist(), active.tolist()):  # f = (z + 2k - 1) - k^2 / f, in place
+        fk = f[:m]
+        np.divide(-(k * k), fk, out=fk)
+        fk += z[:m]
+        fk += 2 * k - 1
+    g[idx] = 1.0 / f
+
+    rest = x[~frac]
+    k = np.arange(1, math.ceil(math.e * np.max(np.abs(rest), initial=0.0)) + 26)
+    tail = np.empty_like(rest)
+    step = _CHUNK // k.size
+    for i in range(0, rest.size, step):  # terms (-x)^k / k! as one running product
+        tail[i:i + step] = np.cumprod(-rest[i:i + step, None] / k, axis=1) @ (1.0 / k)
+    g[~frac] = np.exp(rest) * (-np.euler_gamma - np.log(rest) - tail)
+    return g
+
+
+def _jump_terms(x: np.ndarray, w: np.ndarray, t: np.ndarray, taylor: np.ndarray) -> np.ndarray:
+    """sum_k taylor[k] w^k R_k(x) with R_k(x) = G(x) - sum_{n<k} (-1)^n n! / x^{n+1}.
+
+    G(z) = e^z E1(z) on the principal branch; R_k is the remainder of its
+    asymptotic series after k terms and x = i t w, so w/x = q = -i/t.
+    Below |x| = 40, G comes from :func:`_g_near` and the k subtracted
+    terms are written as w^{k-1-n} q^{n+1}, which stays finite as x -> 0.
+    Beyond, the series is summed from term k on:
+    w^k R_k = y k! (-q)^k T_k(y) with y = 1/x and T_k = 1 - (k+1) y T_{k+1},
+    so nothing cancels, as it would in G minus its first k terms.
+    """
+    out = np.empty(x.shape, dtype=complex)
+    q = -1j / t
+    near = np.abs(x) < _SERIES_RADIUS
+    g, wn, qn = _g_near(x[near]), w[near], q[near]
+    acc = np.zeros(g.shape, dtype=complex)
+    for k, d in enumerate(taylor):
+        part = wn ** k * g
+        for n in range(k):
+            part -= (-1) ** n * math.factorial(n) * wn ** (k - 1 - n) * qn ** (n + 1)
+        acc += d * part
+    out[near] = acc
+
+    far = ~near
+    y, qf = 1.0 / x[far], q[far]
+    tk = np.ones(y.shape, dtype=complex)
+    series = [None] * taylor.size
+    for n in range(_SERIES_TERMS - 1, 0, -1):  # T_{n-1} = 1 - n y T_n
+        tk = tk * y
+        tk *= -n
+        tk += 1.0
+        if n - 1 < taylor.size:
+            series[n - 1] = tk
+    acc = np.zeros(y.shape, dtype=complex)
+    for k, d in enumerate(taylor):
+        acc += d * math.factorial(k) * (-qf) ** k * series[k]
+    out[far] = y * acc
+    return out
 
 
 def _piecewise_freq(pieces: tuple) -> Callable[[np.ndarray], np.ndarray]:
@@ -127,7 +224,7 @@ class Kernel:
 
     def time(self, t, scale: float = 1.0):
         """phi_scale(t) = scale * phi(scale * t)."""
-        if scale <= 0.0:
+        if not scale > 0.0:
             raise ValueError("scale must be positive")
         arr = np.asarray(t, dtype=float)
         out = scale * np.asarray(self.time_eval(scale * arr), dtype=float)
@@ -135,7 +232,7 @@ class Kernel:
 
     def freq(self, s, scale: float = 1.0):
         """psi_scale(s) = psi(s / scale)."""
-        if scale <= 0.0:
+        if not scale > 0.0:
             raise ValueError("scale must be positive")
         arr = np.asarray(s, dtype=float)
         out = np.asarray(self.freq_eval(arr / scale), dtype=float)
@@ -155,8 +252,8 @@ def _piecewise_kernel(name: str, pieces: tuple) -> Kernel:
     phi is the series ``(1/pi) sum_n (-1)^n m_2n t^2n / (2n)!`` with the
     moments ``m_j = int_0^1 psi(s) s^j ds`` summed as exact rationals, so
     each coefficient is rounded once.  That switch suits terms up to t^-3,
-    as in tent and fudge; deeper terms cancel to O(1) far beyond 1e-4.
-    Results are cached.
+    as in tent and fudge; deeper terms cancel to O(1) far beyond 1e-4, so
+    pieces that give them raise ValueError.  Results are cached.
     """
     breaks, polys, jumps = _complement_pieces(pieces)
     terms = []  # (a, trig, c, power): c ascending, then derivative order descending
@@ -166,6 +263,9 @@ def _piecewise_kernel(name: str, pieces: tuple) -> Kernel:
                 a = (-1) ** (k // 2 + 1) * math.factorial(k) * float(taylor[k])
                 terms.append((0.5 * a if c == 0.0 else a, "cos" if k % 2 else "sin", c, k + 1))
     p_min = min(p for *_, p in terms)
+    if max(p for *_, p in terms) > 3:
+        raise ValueError("transform pieces give terms beyond t^-3, which the"
+                         " small-|t| series switch does not cover")
     # imported here, so that processes which build no such kernel skip it
     from fractions import Fraction
 
@@ -318,77 +418,61 @@ def _build_bump(transition_sharpness: float) -> Kernel:
     )
 
 
-def _component_tails(rows, t_from: float, spec: QuadratureSpec) -> tuple[list, dict]:
+def _component_tails(rows, t_from: float) -> np.ndarray:
     """Integrals of coef * trig(freq * u) / u**power over [t_from, inf), one per row.
 
-    ``rows`` holds ``(coef, trig, freq, power)`` tuples.  The oscillating
-    rows share one :func:`_oscillatory_rows` call.  Returns the values and a
-    dict mapping the index of each row whose integral failed to the error
-    that reports it.
+    ``rows`` holds ``(coef, trig, freq, power)`` tuples.  With a = t_from,
+    ``int_a^inf e^{i|f|u} u^-p du = e^{i|f|a} (i|f|)^{p-1} R_{p-1}(-i|f|a) / (p-1)!``
+    with R_k as in :func:`_jump_terms`, whose one call per power p takes
+    all oscillating rows: w = -|f|, x = i a w and the unit vector e_{p-1}.
+    cos takes the real part; sin, odd in f, sign(f) times the imaginary part.
     """
-    values = [0.0] * len(rows)
-    osc, scales, alphas, phases, exponents = [], [], [], [], []
+    out = np.zeros(len(rows))
+    osc = {}  # power -> indices of the rows with f != 0
     for i, (coef, trig, freq, power) in enumerate(rows):
-        if freq == 0.0:
-            if trig == "cos":
-                values[i] = coef * t_from ** (1 - power) / (power - 1)
-            continue
-        osc.append(i)
-        # sin is odd: a negative frequency flips the sign
-        scales.append(-coef if freq < 0.0 and trig == "sin" else coef)
-        alphas.append(abs(freq))
-        phases.append(0.0 if trig == "cos" else -0.5 * math.pi)
-        exponents.append(-float(power))
-    exponents = np.array(exponents)
-    value, _, converged, failures = _oscillatory_rows(
-        lambda u, r: u ** exponents[r][:, None], np.array(alphas), np.array(phases),
-        t_from, spec)
-    errors = {}
-    for j, (i, scale) in enumerate(zip(osc, scales)):
-        if j in failures:
-            errors[i] = failures[j]
-        elif not converged[j]:
-            errors[i] = NonConvergenceError("oscillatory tail integration did not converge")
-        else:
-            values[i] = scale * float(value[j])
-    return values, errors
+        if freq != 0.0:
+            osc.setdefault(power, []).append(i)
+        elif trig == "cos":
+            out[i] = coef * t_from ** (1 - power) / (power - 1)
+    coefs, freqs = (np.array([row[j] for row in rows], dtype=float) for j in (0, 2))
+    is_cos = np.array([row[1] == "cos" for row in rows])
+    for p, idx in osc.items():
+        w = -np.abs(freqs[idx])
+        t = np.full(w.shape, t_from)
+        x = 1j * (t * w)
+        tail = _jump_terms(x, w, t, np.eye(p)[p - 1])
+        tail *= np.exp(-x) * ((-1j) ** (p - 1) / math.factorial(p - 1))
+        out[idx] = coefs[idx] * np.where(is_cos[idx], tail.real, np.sign(freqs[idx]) * tail.imag)
+    return out
 
 
 def tail_integral(kernel: Kernel, t: float, spec: Optional[QuadratureSpec] = None) -> float:
     """Integral of phi over [t, inf) for t > 0.
 
-    Closed-form kernels are decomposed into trigonometric components with
-    power-law envelopes and summed by half-period cancellation; tabulated
-    kernels integrate their spline (zero beyond the cutoff).
+    Closed-form kernels sum the closed-form tails of their trigonometric
+    components (:func:`_component_tails`); tabulated kernels integrate
+    their spline (zero beyond the cutoff), which is all ``spec`` controls.
     """
-    if spec is None:
-        spec = QuadratureSpec()
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError("tail integral requires t > 0")
     if kernel._components:
-        values, errors = _component_tails(kernel._components, t, spec)
-        if errors:
-            raise errors[min(errors)]
-        total = 0.0
-        for val in values:
-            total += val
-        return total
+        return math.fsum(_component_tails(kernel._components, t).tolist())
     cutoff = kernel.time_cutoff
     if cutoff is None or t >= cutoff:
         return 0.0
-    res = integrate(kernel.time_eval, t, cutoff, replace(spec, oscillation_frequency=1.0))
-    return res.value
+    spec = replace(spec or QuadratureSpec(), oscillation_frequency=1.0)
+    return integrate(kernel.time_eval, t, cutoff, spec).value
 
 
 def numeric_fourier(kernel: Kernel, s, spec: Optional[QuadratureSpec] = None):
     """Fourier transform of phi at s computed from the time profile.
 
     Independent of ``freq_eval``: closed-form kernels integrate
-    ``2 * phi(t) * cos(s t)`` adaptively on [0, 1] and resolve the tails via
-    product-to-sum trigonometric decomposition; tabulated kernels integrate
-    the spline over its window.  ``s`` is a scalar, giving a float, or an
-    array, giving an array of its shape; the tails of all points are summed
-    together.
+    ``2 * phi(t) * cos(s t)`` adaptively on [0, 1] and take the rest from
+    the closed-form tails of the product-to-sum components, all points'
+    tails in one :func:`_component_tails` call; tabulated kernels
+    integrate the spline over its window.  ``s`` is a scalar, giving a
+    float, or an array, giving an array of its shape.
     """
     if spec is None:
         spec = QuadratureSpec()
@@ -401,18 +485,12 @@ def numeric_fourier(kernel: Kernel, s, spec: Optional[QuadratureSpec] = None):
         rows = [(0.5 * coef, trig, f_shift, power) for sv in points
                 for coef, trig, freq, power in kernel._components
                 for f_shift in (freq + sv, freq - sv)]
-        tails, errors = _component_tails(rows, 1.0, spec)
-        per = 2 * len(kernel._components)
+        tails = _component_tails(rows, 1.0).reshape(len(points), 2 * len(kernel._components))
         for j, sv in enumerate(points):
             head = integrate(lambda t: kernel.time_eval(t) * np.cos(sv * t), 0.0, 1.0, spec)
             if not head.converged:
                 raise NonConvergenceError("head integration did not converge")
-            total = head.value
-            for i in range(j * per, (j + 1) * per):
-                if i in errors:
-                    raise errors[i]
-                total += tails[i]
-            out[j] = 2.0 * total
+            out[j] = 2.0 * (head.value + math.fsum(tails[j].tolist()))
     else:
         for j, sv in enumerate(points):
             osc = replace(spec, max_subdivisions=max(spec.max_subdivisions, 40000),

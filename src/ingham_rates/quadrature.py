@@ -9,8 +9,8 @@ Oscillatory tails of the form ``envelope(s) * cos(alpha*s + phase)`` with a
 positive non-increasing envelope are summed over half-periods; the
 resulting alternating series is truncated once a term falls below a floor,
 or -- when the envelope decays too slowly for direct truncation -- summed
-by iterated averaging of the partial sums.  Many such tails (rows) are
-summed together, in blocks of half-period terms shared by all rows.
+by iterated averaging of the partial sums.  The kernel tails do not use
+it: :mod:`kernels` sums them in closed form.
 
 All integrand callables must accept a one-dimensional numpy array and
 return an array of the same shape.
@@ -98,14 +98,16 @@ class QuadratureSpec:
     oscillation_frequency: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.abs_tol <= 0.0:
+        # negated comparisons, so that NaN fails them
+        if not self.abs_tol > 0.0:
             raise ValueError("abs_tol must be positive")
-        if self.rel_tol <= 0.0:
+        if not self.rel_tol > 0.0:
             raise ValueError("rel_tol must be positive")
-        if self.max_subdivisions < 1:
+        if not self.max_subdivisions >= 1:
             raise ValueError("max_subdivisions must be at least 1")
-        if self.oscillation_frequency is not None and self.oscillation_frequency <= 0.0:
-            raise ValueError("oscillation_frequency must be positive when given")
+        hint = self.oscillation_frequency
+        if hint is not None and not 0.0 < hint < math.inf:
+            raise ValueError("oscillation_frequency must be positive and finite when given")
 
 
 class QuadResult(NamedTuple):
@@ -230,92 +232,6 @@ def integrate(f: Callable, a: float, b: float, spec: Optional[QuadratureSpec] = 
     return _refine(f, lo, hi, _estimates(np.asarray(y, dtype=float), halves), spec)
 
 
-def _oscillatory_rows(envelope: Callable, alphas: np.ndarray, phases: np.ndarray,
-                      t_from: float, spec: QuadratureSpec):
-    """Integrate ``envelope_i(s) * cos(alphas[i]*s + phases[i])`` over [t_from, inf) per row i.
-
-    ``envelope(u, rows)`` evaluates envelope ``rows[j]`` on row j of the
-    2-d array ``u``.  Every row takes the steps of :func:`integrate_oscillatory`
-    on its own: an adaptive head up to the first zero of its cosine, then
-    blocks of ``_BLOCK`` half-period terms, checked for monotone magnitudes
-    and for truncation after each block.  Rows still open after a block
-    compute the next one together, with one envelope call and one stacked
-    matrix product, so a block of every open row is the largest temporary.
-
-    Returns arrays (values, errors, converged) and a dict mapping each row
-    whose term magnitudes increased to its :class:`EnvelopeError`; such a
-    row's value is NaN.
-    """
-    n = alphas.size
-    head_spec = replace(spec, abs_tol=min(spec.abs_tol, 1e-12))
-    starts = np.empty(n)
-    head = np.empty((n, 3))
-    for i, (alpha, phase) in enumerate(zip(alphas.tolist(), phases.tolist())):
-        # First zero of cos(alpha*s + phase) strictly beyond t_from.
-        m0 = math.floor((alpha * t_from + phase - 0.5 * math.pi) / math.pi) + 1
-        s0 = (0.5 * math.pi + m0 * math.pi - phase) / alpha
-        while s0 <= t_from:
-            m0 += 1
-            s0 = (0.5 * math.pi + m0 * math.pi - phase) / alpha
-        row = np.array([i])
-        starts[i] = s0
-        head[i] = integrate(
-            lambda s: np.asarray(envelope(s[None, :], row))[0] * np.cos(alpha * s + phase),
-            t_from, s0, replace(head_spec, oscillation_frequency=alpha))
-
-    h = math.pi / alphas
-    half = 0.5 * h
-    terms = np.empty((n, _MAX_TERMS))
-    size = np.zeros(n, dtype=int)  # terms a truncated row computed
-    rising = np.zeros(n, dtype=bool)
-    open_ = np.arange(n)
-    for offset in range(0, _MAX_TERMS, _BLOCK):
-        if not open_.size:
-            break
-        r, end = open_, offset + _BLOCK
-        lows = starts[r, None] + h[r, None] * (offset + np.arange(_BLOCK))
-        nodes = (lows + half[r, None])[:, :, None] + half[r, None, None] * _GL16_NODES
-        vals = alphas[r, None, None] * nodes
-        vals += phases[r, None, None]
-        np.cos(vals, out=vals)
-        vals *= np.asarray(envelope(nodes.reshape(r.size, -1), r)).reshape(nodes.shape)
-        vals *= half[r, None, None]
-        terms[r, offset:end] = vals @ _GL16_WEIGHTS
-        # earlier terms of an open row have passed this check already
-        mags = np.abs(terms[r, max(offset - 1, 0):end])
-        up = np.any(mags[:, 1:] > mags[:, :-1] * (1.0 + 1e-9) + 1e-300, axis=1)
-        done = mags[:, -1] <= _TERM_TOL
-        rising[r[up]] = True
-        size[r[done & ~up]] = end
-        open_ = r[~(up | done)]
-
-    series = np.full(n, np.nan)
-    series_err = np.full(n, np.nan)
-    for i in np.flatnonzero(size).tolist():
-        row = terms[i, :size[i]]
-        keep = int(np.argmax(np.abs(row) <= _TERM_TOL)) + 1
-        series[i] = float(np.sum(row[:keep]))
-        series_err[i] = float(np.abs(row[keep - 1])) + 1e-15 * keep
-    # Rows still open kept 192 terms: iterated means of the last 64 partial sums.
-    avg = open_
-    if avg.size:
-        work = np.cumsum(terms[avg], axis=1)[:, -_BLOCK:]
-        while work.shape[1] > 1:
-            prev = work[:, 0]
-            work = 0.5 * (work[:, :-1] + work[:, 1:])
-        series[avg] = work[:, 0]
-        series_err[avg] = np.abs(work[:, 0] - prev) + 1e-15 * _MAX_TERMS
-
-    value = head[:, 0] + series
-    error = head[:, 1] + series_err
-    converged = (head[:, 2] == 1.0) & (
-        error <= np.fmax(spec.abs_tol, spec.rel_tol * np.abs(value)) * 10.0)
-    failures = {i: EnvelopeError("half-period magnitudes increased; envelope must be"
-                                 " positive and non-increasing")
-                for i in np.flatnonzero(rising).tolist()}
-    return value, error, converged, failures
-
-
 def integrate_oscillatory(
     envelope: Callable,
     alpha: float,
@@ -332,18 +248,53 @@ def integrate_oscillatory(
     envelope is positive and non-increasing), which is truncated once a
     term falls below ``_TERM_TOL`` -- the first omitted term bounds the
     remainder.  If 192 terms do not reach the floor, the partial sums are
-    contracted by iterated averaging instead.  This is the one-row case of
-    the grid routine the kernel transforms use.
+    contracted by iterated averaging instead.
     """
     if spec is None:
         spec = QuadratureSpec()
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise ValueError("alpha must be positive")
-    if t_from < 0.0:
+    if not t_from >= 0.0:
         raise ValueError("t_from must be non-negative")
-    value, error, converged, failures = _oscillatory_rows(
-        lambda u, rows: np.asarray(envelope(u.ravel())).reshape(u.shape),
-        np.array([float(alpha)]), np.array([float(phase)]), t_from, spec)
-    if failures:
-        raise failures[0]
-    return QuadResult(float(value[0]), float(error[0]), bool(converged[0]))
+
+    # First zero of cos(alpha*s + phase) strictly beyond t_from.
+    m0 = math.floor((alpha * t_from + phase - 0.5 * math.pi) / math.pi) + 1
+    s0 = (0.5 * math.pi + m0 * math.pi - phase) / alpha
+    while s0 <= t_from:
+        m0 += 1
+        s0 = (0.5 * math.pi + m0 * math.pi - phase) / alpha
+    head = integrate(lambda s: np.asarray(envelope(s)) * np.cos(alpha * s + phase), t_from, s0,
+                     replace(spec, abs_tol=min(spec.abs_tol, 1e-12), oscillation_frequency=alpha))
+
+    # blocks of _BLOCK half-period terms, each by 16-point Gauss-Legendre
+    h = math.pi / alpha
+    half = 0.5 * h
+    terms = np.empty(0)
+    while True:
+        mids = s0 + h * (terms.size + np.arange(_BLOCK)) + half
+        nodes = (mids[:, None] + half * _GL16_NODES[None, :]).ravel()
+        vals = np.asarray(envelope(nodes)) * np.cos(alpha * nodes + phase)
+        terms = np.concatenate([terms, half * vals.reshape(_BLOCK, 16) @ _GL16_WEIGHTS])
+        mags = np.abs(terms)
+        if np.any(mags[1:] > mags[:-1] * (1.0 + 1e-9) + 1e-300):
+            raise EnvelopeError("half-period magnitudes increased; envelope must be"
+                                " positive and non-increasing")
+        if mags[-1] <= _TERM_TOL:
+            keep = int(np.argmax(mags <= _TERM_TOL)) + 1
+            series = float(np.sum(terms[:keep]))
+            series_err = float(mags[keep - 1]) + 1e-15 * keep
+            break
+        if terms.size == _MAX_TERMS:
+            # iterated means of the last _BLOCK partial sums
+            work = np.cumsum(terms)[-_BLOCK:]
+            while work.size > 1:
+                prev = work[0]
+                work = 0.5 * (work[:-1] + work[1:])
+            series = float(work[0])
+            series_err = abs(series - float(prev)) + 1e-15 * _MAX_TERMS
+            break
+
+    value = head.value + series
+    error = head.error + series_err
+    converged = head.converged and error <= max(spec.abs_tol, spec.rel_tol * abs(value)) * 10.0
+    return QuadResult(value, error, converged)

@@ -18,8 +18,8 @@ Convolution defects are computed by :func:`convolution_defect_profile`.
 For kernels whose transform is piecewise polynomial (tent, fudge) it
 evaluates ``f - f*phi = (1/2pi) integral e^{ist} F(s) (1 - psi(s)) ds``,
 ``F(s) = w/(is - lambda)``, in closed form: per mode and time a few values
-of ``e^z E1(z)`` at the transform's breakpoints plus one pole term, and no
-quadrature.  For the tabulated bump kernel it evaluates the time-domain
+of ``e^z E1(z)`` (from :mod:`kernels`) at the transform's breakpoints plus
+one pole term, and no quadrature.  For the tabulated bump kernel it evaluates the time-domain
 convolution on fixed Gauss-Legendre panels shared across all modes; that
 route still reports modes with |Re lambda| t > 45 as 0, although their
 true defect is of order ``|w| phi(t) / |lambda|``.
@@ -40,7 +40,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from numpy.polynomial.polynomial import polyval
 
-from .kernels import Kernel, tail_integral
+from .kernels import _CHUNK, Kernel, _jump_terms, tail_integral
 from .quadrature import NonConvergenceError, QuadratureSpec, integrate
 from .rate_functions import make_bound
 from .semigroup_lab import (
@@ -111,101 +111,11 @@ def fit_loglog(pairs: Sequence[tuple]) -> tuple[float, float]:
 
 # -- shared convolution-defect engine -----------------------------------------
 
-_CHUNK = 1 << 18  # (mode, point) pairs held in memory at once
-_SERIES_RADIUS = 40.0  # |z| from which e^z E1(z) is summed asymptotically
-_SERIES_TERMS = 40
-# the continued fraction for e^z E1(z) takes, on each band of |z| from
-# [4, 12) to [32, 40), the depth that brings it to about 1e-15 on
-# |Im z| = 4 + |Re z|/2, where it converges slowest
-_FRACTION_EDGES = np.array([12.0, 16.0, 24.0, 32.0])
-_FRACTION_DEPTHS = np.array([50, 38, 28, 18, 12])
 _GL_NODES, _GL_WEIGHTS = leggauss(16)
 _PANEL_WIDTH = 0.5 * math.pi
 # e^{-45} < 3e-20: the panel route reports modes with |Re lambda| t beyond
 # this as 0, and the Parseval check truncates the orbit there
 _EXP_CLIP = 45.0
-
-
-def _g_near(x: np.ndarray) -> np.ndarray:
-    """G(x) = e^x E1(x), principal branch, for |x| < 40 and Re x <= 0.
-
-    Where |Im x| >= 4 + |Re x|/2 the continued fraction
-    ``G = 1/(x+1 - 1/(x+3 - 4/(x+5 - ...)))`` is cut at the depth that
-    ``_FRACTION_DEPTHS`` gives for |x|.  It converges slowly near 0 and near
-    the cut, the negative real axis, so the rest sums the convergent series
-    ``E1(x) = -gamma - Log x - sum_{k>=1} (-x)^k / (k k!)`` to
-    k = e max|x| + 25.  There the sum of its terms' moduli exceeds |E1|
-    by at most e^{|x| - |Re x|} < e^6, so little cancels.  np.log keeps the sign
-    of a zero Im x: on the cut, Im x = +0.0 takes the side Im x > 0 and
-    -0.0 the side Im x < 0.
-    """
-    g = np.empty(x.shape, dtype=complex)
-    frac = np.abs(x.imag) >= 4.0 + 0.5 * np.abs(x.real)
-    # points sorted deepest first, so that each level updates a prefix; an
-    # int8 band makes the stable sort a radix sort
-    idx = np.flatnonzero(frac)
-    band = np.searchsorted(_FRACTION_EDGES, np.abs(x[idx]), side="right").astype(np.int8)
-    idx = idx[np.argsort(band, kind="stable")]
-    depth = np.repeat(_FRACTION_DEPTHS, np.bincount(band, minlength=_FRACTION_DEPTHS.size))
-    levels = np.arange(_FRACTION_DEPTHS[0], 0, -1)
-    active = np.searchsorted(-depth, -levels, side="right")  # points with depth >= k
-    z = x[idx]
-    f = z + (2 * depth + 1)
-    for k, m in zip(levels.tolist(), active.tolist()):  # f = (z + 2k - 1) - k^2 / f, in place
-        fk = f[:m]
-        np.divide(-(k * k), fk, out=fk)
-        fk += z[:m]
-        fk += 2 * k - 1
-    g[idx] = 1.0 / f
-
-    rest = x[~frac]
-    k = np.arange(1, math.ceil(math.e * np.max(np.abs(rest), initial=0.0)) + 26)
-    tail = np.empty_like(rest)
-    step = _CHUNK // k.size
-    for i in range(0, rest.size, step):  # terms (-x)^k / k! as one running product
-        tail[i:i + step] = np.cumprod(-rest[i:i + step, None] / k, axis=1) @ (1.0 / k)
-    g[~frac] = np.exp(rest) * (-np.euler_gamma - np.log(rest) - tail)
-    return g
-
-
-def _jump_terms(x: np.ndarray, w: np.ndarray, t: np.ndarray, taylor: np.ndarray) -> np.ndarray:
-    """sum_k taylor[k] w^k R_k(x) with R_k(x) = G(x) - sum_{n<k} (-1)^n n! / x^{n+1}.
-
-    G(z) = e^z E1(z) on the principal branch; R_k is the remainder of its
-    asymptotic series after k terms and x = i t w, so w/x = q = -i/t.
-    Below |x| = 40, G comes from :func:`_g_near` and the k subtracted
-    terms are written as w^{k-1-n} q^{n+1}, which stays finite as x -> 0.
-    Beyond, the series is summed from term k on:
-    w^k R_k = y k! (-q)^k T_k(y) with y = 1/x and T_k = 1 - (k+1) y T_{k+1},
-    so nothing cancels, as it would in G minus its first k terms.
-    """
-    out = np.empty(x.shape, dtype=complex)
-    q = -1j / t
-    near = np.abs(x) < _SERIES_RADIUS
-    g, wn, qn = _g_near(x[near]), w[near], q[near]
-    acc = np.zeros(g.shape, dtype=complex)
-    for k, d in enumerate(taylor):
-        part = wn ** k * g
-        for n in range(k):
-            part -= (-1) ** n * math.factorial(n) * wn ** (k - 1 - n) * qn ** (n + 1)
-        acc += d * part
-    out[near] = acc
-
-    far = ~near
-    y, qf = 1.0 / x[far], q[far]
-    tk = np.ones(y.shape, dtype=complex)
-    series = [None] * taylor.size
-    for n in range(_SERIES_TERMS - 1, 0, -1):  # T_{n-1} = 1 - n y T_n
-        tk = tk * y
-        tk *= -n
-        tk += 1.0
-        if n - 1 < taylor.size:
-            series[n - 1] = tk
-    acc = np.zeros(y.shape, dtype=complex)
-    for k, d in enumerate(taylor):
-        acc += d * math.factorial(k) * (-qf) ** k * series[k]
-    out[far] = y * acc
-    return out
 
 
 def _frequency_route(kernel: Kernel, t_grid: np.ndarray):
@@ -347,7 +257,7 @@ def check_parseval(scenario: Scenario, kernel: Kernel, t: float,
     """
     if scenario.operator.size > 8:
         raise ValueError("Parseval check is meant for few-mode scenarios")
-    if scale <= 0.0:
+    if not scale > 0.0:
         raise ValueError("scale must be positive")
     base = spec or QuadratureSpec()
     lam = scenario.operator.eigenvalues

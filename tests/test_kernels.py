@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 
 from ingham_rates.cli import KERNEL_MATCH_TOLERANCE
 from ingham_rates.kernels import (
@@ -201,6 +202,16 @@ class TestDerivedFromPieces:
             assert abs(numeric - float(tri.freq_eval(np.array(s)))) <= KERNEL_MATCH_TOLERANCE
 
 
+    def test_terms_beyond_inverse_cube_are_rejected(self):
+        # the C^2 plateau psi = 1 - S(2s - 1) on [1/2, 1], S(u) = 10u^3 -
+        # 15u^4 + 6u^5, gives terms down to t^-6, which cancel to O(1) far
+        # beyond the 1e-4 series switch (relative error 9e10 at t = 1.01e-4)
+        shoulder = 1.0 - Polynomial([0.0, 0.0, 0.0, 10.0, -15.0, 6.0])(Polynomial([-1.0, 2.0]))
+        pieces = ((0.0, 0.5, (1.0,)), (0.5, 1.0, tuple(shoulder.coef.tolist())))
+        with pytest.raises(ValueError, match="t\\^-3"):
+            _piecewise_kernel("c2_plateau", pieces)
+
+
 class TestFourierPairs:
     @pytest.mark.parametrize("kernel", [TENT, FUDGE], ids=["tent", "fudge"])
     @pytest.mark.parametrize("s", SIX_POINTS)
@@ -244,6 +255,11 @@ class TestScaling:
             TENT.time(1.0, 0.0)
         with pytest.raises(ValueError, match="positive"):
             TENT.freq(1.0, -2.0)
+        # NaN used to pass the check: freq(0.3, scale=nan) returned 0.0
+        with pytest.raises(ValueError, match="positive"):
+            TENT.freq(0.3, scale=math.nan)
+        with pytest.raises(ValueError, match="positive"):
+            TENT.time(0.3, scale=math.nan)
 
 
 class TestBumpKernel:
@@ -338,6 +354,8 @@ class TestPrimitiveTail:
     def test_tail_requires_positive_start(self):
         with pytest.raises(ValueError, match="t > 0"):
             tail_integral(TENT, 0.0)
+        with pytest.raises(ValueError, match="t > 0"):
+            tail_integral(TENT, math.nan)
 
 
 def test_cli_import_leaves_scipy_interpolate_to_the_bump_kernel():

@@ -11,13 +11,13 @@ import math
 from dataclasses import replace
 from typing import Callable, Optional
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ingham_rates import kernels
-from ingham_rates.kernels import fudge_kernel, numeric_fourier, tail_integral, tent_kernel
 from ingham_rates.quadrature import (
     _GAUSS_IDX,
     _GL16_NODES,
@@ -27,10 +27,8 @@ from ingham_rates.quadrature import (
     _WEIGHTS_G,
     _WEIGHTS_K,
     EnvelopeError,
-    NonConvergenceError,
     QuadratureSpec,
     QuadResult,
-    _oscillatory_rows,
     integrate,
     integrate_oscillatory,
 )
@@ -77,6 +75,16 @@ class TestFiniteInterval:
         with pytest.raises(ValueError, match="lower endpoint"):
             integrate(np.sqrt, 1.0, 0.0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("abs_tol", math.nan), ("rel_tol", math.nan), ("max_subdivisions", math.nan),
+        ("oscillation_frequency", math.nan), ("oscillation_frequency", math.inf),
+    ])
+    def test_spec_rejects_nan_and_infinite_hint(self, field, value):
+        # NaN used to pass the checks: abs_tol = nan spent all 10000 splits,
+        # and a NaN or infinite hint escaped from math.ceil in integrate
+        with pytest.raises(ValueError, match=field):
+            QuadratureSpec(**{field: value})
+
     def test_oscillation_frequency_presplit(self):
         spec = QuadratureSpec(oscillation_frequency=40.0)
         res = integrate(lambda x: np.cos(40 * x), 0.0, math.pi, spec)
@@ -122,6 +130,12 @@ class TestOscillatoryTail:
         res = integrate_oscillatory(lambda u: u ** -1.5, 2.0, 1.0,
                                     phase=-math.pi / 2)
         assert res.value == pytest.approx(OSC_SIN2_P15_FROM1, abs=1e-11)
+
+    def test_nan_frequency_and_start_are_rejected(self):
+        with pytest.raises(ValueError, match="alpha"):
+            integrate_oscillatory(lambda u: u ** -2.0, math.nan, 1.0)
+        with pytest.raises(ValueError, match="t_from"):
+            integrate_oscillatory(lambda u: u ** -2.0, 1.0, math.nan)
 
     def test_slowly_decaying_envelope_uses_averaging(self):
         # u^{-0.6} decays far too slowly for term-by-term truncation, so the
@@ -334,58 +348,6 @@ def _reference_integrate_oscillatory(envelope, alpha, t_from, *, phase=0.0, spec
     return QuadResult(value, error, converged)
 
 
-def _reference_component_tail(coef, trig, freq, power, t_from, spec):
-    if freq == 0.0:
-        if trig == "sin":
-            return 0.0, 0.0
-        return coef * t_from ** (1 - power) / (power - 1), 0.0
-    phase = 0.0 if trig == "cos" else -0.5 * math.pi
-    sign = 1.0
-    if freq < 0.0:
-        freq = -freq
-        if trig == "sin":
-            sign = -1.0
-    res = _reference_integrate_oscillatory(lambda u: u ** (-float(power)), freq, t_from,
-                                           phase=phase, spec=spec)
-    if not res.converged:
-        raise NonConvergenceError("oscillatory tail integration did not converge")
-    return sign * coef * res.value, abs(coef) * res.error
-
-
-def _reference_numeric_fourier(kernel, s, spec=None):
-    if spec is None:
-        spec = QuadratureSpec()
-    s = float(s)
-    if kernel._components:
-        head = _reference_integrate(lambda t: kernel.time_eval(t) * np.cos(s * t), 0.0, 1.0, spec)
-        if not head.converged:
-            raise NonConvergenceError("head integration did not converge")
-        total = head.value
-        for coef, trig, freq, power in kernel._components:
-            # trig(freq*t) * cos(s*t) splits into half-amplitude components
-            # at the shifted frequencies freq + s and freq - s.
-            for f_shift in (freq + s, freq - s):
-                val, _ = _reference_component_tail(0.5 * coef, trig, f_shift, power, 1.0, spec)
-                total += val
-        return 2.0 * total
-    osc = replace(spec, max_subdivisions=max(spec.max_subdivisions, 40000),
-                  oscillation_frequency=max(abs(s), 1.0))
-    res = _reference_integrate(lambda t: kernel.time_eval(t) * np.cos(s * t), 0.0,
-                               kernel.time_cutoff, osc)
-    if not res.converged:
-        raise NonConvergenceError("transform integration did not converge")
-    return 2.0 * res.value
-
-
-def _reference_tail_integral(kernel, t, spec=None):
-    """The closed-form branch of tail_integral, component by component."""
-    total = 0.0
-    for coef, trig, freq, power in kernel._components:
-        val, _ = _reference_component_tail(coef, trig, freq, power, t, spec or QuadratureSpec())
-        total += val
-    return total
-
-
 def _bits(result) -> tuple:
     """A QuadResult as bit patterns, so that NaN equals NaN and 0.0 is not -0.0."""
     value = complex(result.value)
@@ -460,78 +422,69 @@ class TestBatchedEvaluation:
         n0 = math.ceil(3.0 * 40.0 / math.pi)
         assert sizes[0] == 15 * n0 and set(sizes[1:]) <= {30}
 
-    def test_grid_transform_calls_the_tail_envelope_once_per_block(self, monkeypatch):
-        blocks = []
 
-        def spy(envelope, alphas, phases, t_from, spec):
-            def counted(u, rows):
-                if u.shape[1] == 64 * 16:
-                    blocks.append(u.shape[0])
-                return envelope(u, rows)
-            return _oscillatory_rows(counted, alphas, phases, t_from, spec)
-
-        monkeypatch.setattr(kernels, "_oscillatory_rows", spy)
-        s = np.linspace(0.0, 3.0, 33)
-        numeric_fourier(tent_kernel(), s)
-        # every (s, component, shift) row with a non-zero frequency sums
-        # 192 terms: three blocks, each one call for all rows
-        rows = sum(1 for sv in s for *_, freq, _p in tent_kernel()._components
-                   for shift in (freq + sv, freq - sv) if shift != 0.0)
-        assert blocks == [rows] * 3
+def _mp_tail(freq: float, power: int, t_from: float) -> mp.mpc:
+    """int_a^inf e^{i|f|u} u^-p du = a^{1-p} E_p(-i|f|a) at 30 digits."""
+    z = -1j * mp.mpf(abs(freq)) * mp.mpf(t_from)
+    if abs(z) < 1e-6:
+        # DLMF 8.19.8; mpmath's expint loses the imaginary part here
+        e_p = ((-z) ** (power - 1) / mp.factorial(power - 1) * (mp.digamma(power) - mp.log(z))
+               - mp.fsum((-z) ** k / ((k - power + 1) * mp.factorial(k))
+                         for k in range(6) if k != power - 1))
+    else:
+        e_p = mp.expint(power, z)
+    return mp.mpf(t_from) ** (1 - power) * e_p
 
 
 class TestTailsMatchReference:
-    @pytest.mark.parametrize("make", [tent_kernel, fudge_kernel], ids=["tent", "fudge"])
-    @pytest.mark.parametrize("s_max", [2.0, 3.0])
-    def test_grid_transform_bitwise(self, make, s_max):
-        kernel = make()
-        s = np.linspace(0.0, s_max, 33)
-        grid = numeric_fourier(kernel, s)
-        assert isinstance(grid, np.ndarray) and grid.shape == s.shape
-        expected = [_reference_numeric_fourier(kernel, sv) for sv in s.tolist()]
-        assert grid.tobytes() == np.array(expected).tobytes()
-
-    @pytest.mark.parametrize("make", [tent_kernel, fudge_kernel], ids=["tent", "fudge"])
-    def test_scalar_transform_bitwise(self, make):
-        kernel = make()
-        for sv in (0.0, 0.5, 1.3, 2.75):
-            value = numeric_fourier(kernel, sv)
-            assert type(value) is float
-            assert value == _reference_numeric_fourier(kernel, sv)
-
-    @pytest.mark.parametrize("make", [tent_kernel, fudge_kernel], ids=["tent", "fudge"])
-    def test_tail_integral_bitwise(self, make):
-        kernel = make()
-        for t in np.geomspace(1e-3, 1e4, 15).tolist():
-            assert tail_integral(kernel, t) == _reference_tail_integral(kernel, t)
+    @pytest.mark.parametrize("t_from", [1e-3, 1.0, 2.5, 10.0, 1e3, 1e4])
+    def test_component_tails_match_mpmath(self, t_from):
+        # both sides of |f a| = 40, where _jump_terms changes branch, and
+        # frequencies at and near 0
+        mags = np.concatenate([np.geomspace(1e-6, 200.0, 15), [0.0, 1e-300, 1e-17],
+                               np.array([39.0, np.nextafter(40.0, 0.0), 40.0, 41.0]) / t_from])
+        rows = [(1.0, trig, sign * f, power) for power in (2, 3) for trig in ("cos", "sin")
+                for f in mags.tolist() for sign in (1.0, -1.0)]
+        got = kernels._component_tails(rows, t_from)
+        with mp.workdps(30):
+            ref = {(f, p): _mp_tail(f, p, t_from) for f in mags.tolist() if f for p in (2, 3)}
+        for (_, trig, freq, power), value in zip(rows, got.tolist()):
+            if freq == 0.0:
+                expected = t_from ** (1 - power) / (power - 1) if trig == "cos" else 0.0
+                assert value == expected
+                continue
+            tail = ref[abs(freq), power]
+            expected = float(tail.real if trig == "cos" else math.copysign(1.0, freq) * tail.imag)
+            # the tail's modulus is at most a^{1-p}/(p-1); a scan of 3000 values
+            # of |f a| in [1e-6, 2e6] found the worst error, 1.01e-14 a^{1-p},
+            # at |f a| = 3.95, just short of the continued-fraction switch
+            assert abs(value - expected) <= 1.1e-14 * t_from ** (1 - power)
+            if abs(freq) * t_from < 1e-6:
+                assert abs(value - expected) <= 4e-16 * abs(expected)
 
     def test_early_truncation_beside_averaging_rows(self):
-        # row 1 decays like e^{-u} and truncates after one block; rows 0
-        # and 2 decay like powers and average all 192 terms
-        envelopes = [lambda u: u ** -2.0, lambda u: np.exp(-u), lambda u: u ** -1.5]
-        alphas = np.array([3.0, 1.0, 2.0])
-        phases = np.array([0.0, 0.3, -0.5 * math.pi])
-
-        def envelope(u, rows):
-            return np.stack([envelopes[r](row) for r, row in zip(rows.tolist(), u)])
-
+        # e^{-u} truncates after one block; the powers average all 192 terms
         spec = QuadratureSpec()
-        value, error, converged, failures = _oscillatory_rows(envelope, alphas, phases, 2.0, spec)
-        assert failures == {}
-        for i, env in enumerate(envelopes):
-            ref = _reference_integrate_oscillatory(env, alphas[i], 2.0, phase=phases[i], spec=spec)
-            assert _bits(QuadResult(value[i], error[i], bool(converged[i]))) == _bits(ref)
+        for env, alpha, phase in [(lambda u: u ** -2.0, 3.0, 0.0),
+                                  (lambda u: np.exp(-u), 1.0, 0.3),
+                                  (lambda u: u ** -1.5, 2.0, -0.5 * math.pi),
+                                  (lambda u: u ** -0.6, 1.0, 0.0)]:
+            got = integrate_oscillatory(env, alpha, 2.0, phase=phase, spec=spec)
+            ref = _reference_integrate_oscillatory(env, alpha, 2.0, phase=phase, spec=spec)
+            assert _bits(got) == _bits(ref)
         sizes = []
-        integrate_oscillatory(_counting(envelopes[1], sizes), 1.0, 2.0, phase=0.3)
+        integrate_oscillatory(_counting(lambda u: np.exp(-u), sizes), 1.0, 2.0, phase=0.3)
         assert sizes.count(64 * 16) == 1
+        sizes = []
+        integrate_oscillatory(_counting(lambda u: u ** -2.0, sizes), 3.0, 2.0)
+        assert sizes.count(64 * 16) == 3
 
     def test_rising_row_fails_alone(self):
-        envelope = lambda u, rows: np.where(rows[:, None] == 1, np.exp(u / 50.0), u ** -2.0)
-        value, _, converged, failures = _oscillatory_rows(
-            envelope, np.array([1.0, 1.0, 2.0]), np.zeros(3), 1.0, QuadratureSpec())
-        assert list(failures) == [1] and isinstance(failures[1], EnvelopeError)
-        assert math.isnan(value[1]) and not converged[1]
-        ref = _reference_integrate_oscillatory(lambda u: u ** -2.0, 2.0, 1.0)
-        assert value[2] == ref.value and converged[2] == ref.converged
+        # a rising envelope raises where the reference does; a decaying
+        # one through the same call matches it bit for bit
+        with pytest.raises(EnvelopeError):
+            integrate_oscillatory(lambda u: np.exp(u / 50.0), 1.0, 1.0)
         with pytest.raises(EnvelopeError):
             _reference_integrate_oscillatory(lambda u: np.exp(u / 50.0), 1.0, 1.0)
+        got = integrate_oscillatory(lambda u: u ** -2.0, 2.0, 1.0)
+        assert _bits(got) == _bits(_reference_integrate_oscillatory(lambda u: u ** -2.0, 2.0, 1.0))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ingham_rates.kernels import bump_kernel, fudge_kernel, tent_kernel
+from ingham_rates.kernels import _g_near, bump_kernel, fudge_kernel, tent_kernel
 from ingham_rates.quadrature import QuadratureSpec, integrate
 from ingham_rates.semigroup_lab import (
     Scenario,
@@ -20,7 +20,6 @@ from ingham_rates.semigroup_lab import (
 from ingham_rates.verify import (
     AdmissibilityError,
     TruncationRangeError,
-    _g_near,
     check_asymptotic_regularity,
     check_mollifier_rate,
     check_parseval,
@@ -55,6 +54,11 @@ class TestParseval:
         scenario = Scenario(cluster_infinity(1.0, 500), "vector")
         with pytest.raises(ValueError, match="few-mode"):
             check_parseval(scenario, TENT, 1.0)
+
+    def test_nan_scale_rejected(self):
+        scenario = Scenario(single_mode(-1.0 + 1j), "vector")
+        with pytest.raises(ValueError, match="positive"):
+            check_parseval(scenario, TENT, 1.0, scale=math.nan)
 
 
 def _quad_defect(lam, w, kernel, t, scale=1.0):

@@ -351,7 +351,7 @@ def bump_kernel(transition_sharpness: float = 1.0) -> Kernel:
 
 @lru_cache(maxsize=8)
 def _build_bump(transition_sharpness: float) -> Kernel:
-    if transition_sharpness <= 0.0 or transition_sharpness > 100.0:
+    if not 0.0 < transition_sharpness <= 100.0:
         raise ValueError("transition_sharpness must lie in (0, 100]")
 
     beta = transition_sharpness

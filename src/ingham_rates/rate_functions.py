@@ -20,6 +20,7 @@ against an independent search.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -130,20 +131,20 @@ class MonotoneFunction:
     @classmethod
     def power_growth(cls, alpha: float) -> "MonotoneFunction":
         """M(R) = (1 + R)**alpha with alpha > 0."""
-        if alpha <= 0.0:
+        if not alpha > 0.0:
             raise ValueError("power growth exponent must be positive")
         return cls("growth", lambda R: (1.0 + R) ** alpha, f"(1+R)^{alpha:g}")
 
     @classmethod
     def exponential_growth(cls, alpha: float) -> "MonotoneFunction":
         """M(R) = exp(R**alpha) with alpha > 0."""
-        if alpha <= 0.0:
+        if not alpha > 0.0:
             raise ValueError("exponential growth exponent must be positive")
         return cls("growth", lambda R: np.exp(R**alpha), f"exp(R^{alpha:g})")
 
     @classmethod
     def constant_growth(cls, value: float = 1.0) -> "MonotoneFunction":
-        if value < 1.0:
+        if not value >= 1.0:
             raise ValueError("constant rate value must be at least 1")
         return cls("growth", lambda R: np.full_like(R, value), f"{value:g}")
 
@@ -153,11 +154,11 @@ class MonotoneFunction:
         values = np.asarray(values, dtype=float)
         if knots.ndim != 1 or knots.size < 2 or knots.shape != values.shape:
             raise ValueError("tabulated input needs matching 1-d knots and values with >= 2 entries")
-        if np.any(knots < 0.0) or np.any(np.diff(knots) <= 0.0):
+        if not (np.all(knots >= 0.0) and np.all(np.diff(knots) > 0.0)):
             raise ValueError("growth knots must be non-negative and strictly increasing")
-        if np.any(values < 1.0):
+        if not np.all(values >= 1.0):
             raise ValueError("rate values must be at least 1")
-        if np.any(np.diff(values) < 0.0):
+        if not np.all(np.diff(values) >= 0.0):
             raise ValueError("tabulated growth values must be non-decreasing")
         return cls("growth", lambda R: np.interp(R, knots, values), f"table[{knots.size}]")
 
@@ -166,20 +167,20 @@ class MonotoneFunction:
     @classmethod
     def power_decay(cls, alpha: float) -> "MonotoneFunction":
         """m(r) = r**(-alpha) with alpha > 0."""
-        if alpha <= 0.0:
+        if not alpha > 0.0:
             raise ValueError("power decay exponent must be positive")
         return cls("decay", lambda r: r ** (-alpha), f"r^-{alpha:g}")
 
     @classmethod
     def exponential_decay(cls, alpha: float) -> "MonotoneFunction":
         """m(r) = exp(r**(-alpha)) with alpha > 0."""
-        if alpha <= 0.0:
+        if not alpha > 0.0:
             raise ValueError("exponential decay exponent must be positive")
         return cls("decay", lambda r: np.exp(r ** (-alpha)), f"exp(r^-{alpha:g})")
 
     @classmethod
     def constant_decay(cls, value: float = 1.0) -> "MonotoneFunction":
-        if value < 1.0:
+        if not value >= 1.0:
             raise ValueError("constant rate value must be at least 1")
         return cls("decay", lambda r: np.full_like(r, value), f"{value:g}")
 
@@ -189,11 +190,11 @@ class MonotoneFunction:
         values = np.asarray(values, dtype=float)
         if knots.ndim != 1 or knots.size < 2 or knots.shape != values.shape:
             raise ValueError("tabulated input needs matching 1-d knots and values with >= 2 entries")
-        if np.any(knots <= 0.0) or np.any(knots > 1.0) or np.any(np.diff(knots) <= 0.0):
+        if not (np.all((knots > 0.0) & (knots <= 1.0)) and np.all(np.diff(knots) > 0.0)):
             raise ValueError("decay knots must lie in (0, 1] and be strictly increasing")
-        if np.any(values < 1.0):
+        if not np.all(values >= 1.0):
             raise ValueError("rate values must be at least 1")
-        if np.any(np.diff(values) > 0.0):
+        if not np.all(np.diff(values) <= 0.0):
             raise ValueError("tabulated decay values must be non-increasing")
         # Interpolate in w = 1/r, where the table is non-decreasing.
         w_knots = 1.0 / knots[::-1]
@@ -269,15 +270,30 @@ _U_CAP = math.log(1e250)
 _GOLDEN_TOL = 1e-6
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-# Per kind: the domain edge, the first far end of the bracket, the factor
-# that pushes it outwards, the maps x -> u and u -> x of the bisection
-# coordinate (f increases in u) and whether a far end has left the float
-# range.
+# Per kind: the domain edge, the first rung of the bracket ladder, the
+# factor from one rung to the next, the maps x -> u and u -> x of the
+# bisection coordinate (f increases in u) and whether a rung has left the
+# float range.
 _BISECTION = {
     "growth": (0.0, 1.0, 2.0, math.log1p, math.expm1, lambda far: far > 1e308),
     "decay": (1.0, 0.5, 0.5, lambda x: math.log(1.0 / x), lambda u: math.exp(-u),
               lambda far: far < 1e-300),
 }
+# rungs of the bracket ladder evaluated per call of f
+_LADDER_BLOCK = 32
+
+
+@functools.cache
+def _ladder(kind: str) -> np.ndarray:
+    """The far ends a bracket may take, in order: powers of the step up to the float range."""
+    _, far, step, _, _, escaped = _BISECTION[kind]
+    rungs = []
+    while not escaped(far):
+        rungs.append(far)
+        far *= step
+    ladder = np.array(rungs)
+    ladder.flags.writeable = False  # one array serves every inversion
+    return ladder
 
 
 def _libm(fn, values: np.ndarray) -> np.ndarray:
@@ -293,9 +309,12 @@ def _libm(fn, values: np.ndarray) -> np.ndarray:
 def _invert(f, y: np.ndarray) -> tuple[np.ndarray, dict]:
     """Solve f(x) = y for every element of the 1-d target array y.
 
-    Growth functions are solved on [0, inf) by geometric bracket expansion
+    Growth functions are solved on [0, inf) by a geometric bracket
     followed by bisection in log(1+x); decay functions on (0, 1] by the
-    mirrored procedure in log(1/x).  An element stops when
+    mirrored procedure in log(1/x).  The bracket's far end is the first
+    rung of the shared ladder 1, 2, 4, ... (0.5, 0.25, ... for decay) where
+    f reaches the target; f is evaluated on ``_LADDER_BLOCK`` rungs per
+    call, for all targets at once.  A bisection element stops when
     ``|f(x) - y| <= _TOL_REL * max(1, |y|)``.  All elements share each
     evaluation of f, and every element takes the steps the one-target
     search would take, so each result is bitwise the scalar one.
@@ -308,7 +327,7 @@ def _invert(f, y: np.ndarray) -> tuple[np.ndarray, dict]:
     kind = getattr(f, "kind", None)
     if kind not in _BISECTION:
         raise ValueError("f must be a growth or decay rate (has .kind)")
-    edge_x, far0, step, to_u, from_u, escaped = _BISECTION[kind]
+    edge_x, _, _, to_u, from_u, _ = _BISECTION[kind]
     finite = np.isfinite(y)
     failures = {i: ValueError("inversion target must be finite")
                 for i in np.flatnonzero(~finite).tolist()}
@@ -322,33 +341,34 @@ def _invert(f, y: np.ndarray) -> tuple[np.ndarray, dict]:
             f"target {float(y[i])!r} is below the range minimum f({edge_x:g}) = {edge!r}")
     x = np.where(at_edge, edge_x, np.nan)
 
-    # Bracket: push the far end outwards until f there reaches the target.
+    # Bracket: each target's far end is the first rung of the ladder where
+    # f reaches it, and its near end the rung before (the edge before the
+    # first).  All targets share each block of rungs.
     todo = np.flatnonzero(finite & ~below & ~at_edge)
     yt, st = y[todo], slack[todo]
-    near = np.full(todo.size, edge_x)
-    far = np.full(todo.size, far0)
-    bracketed = np.ones(todo.size, dtype=bool)
+    ladder = _ladder(kind)
+    rung = np.full(todo.size, -1)
     open_ = np.arange(todo.size)
-    while open_.size:
-        f_far = np.asarray(f(far[open_]), dtype=float)
-        short = ~(f_far >= yt[open_])
-        open_, f_far = open_[short], f_far[short]
-        near[open_] = far[open_]
-        with np.errstate(over="ignore"):
-            far[open_] *= step
-        out = escaped(far[open_])
-        for j, fv in zip(open_[out].tolist(), f_far[out].tolist()):
-            failures[int(todo[j])] = InversionRangeError(
-                f"target {float(yt[j])!r} exceeds the attained range"
-                f" (f({float(near[j])!r}) = {fv!r})")
-        bracketed[open_[out]] = False
-        open_ = open_[~out]
+    for start in range(0, ladder.size, _LADDER_BLOCK):
+        if not open_.size:
+            break
+        f_rungs = np.asarray(f(ladder[start:start + _LADDER_BLOCK]), dtype=float)
+        reached = f_rungs >= yt[open_, None]
+        hit = reached.any(axis=1)
+        rung[open_[hit]] = start + reached[hit].argmax(axis=1)
+        open_ = open_[~hit]
+    for j in open_.tolist():
+        failures[int(todo[j])] = InversionRangeError(
+            f"target {float(yt[j])!r} exceeds the attained range"
+            f" (f({float(ladder[-1])!r}) = {float(f_rungs[-1])!r})")
 
     # Bisect in u, where f increases, until each residual is within slack.
     # The open elements' state is kept compacted and shrinks only on a hit.
     xt = np.full(todo.size, np.nan)
-    active = np.flatnonzero(bracketed)
-    u_lo, u_hi = _libm(to_u, near[active]), _libm(to_u, far[active])
+    active = np.flatnonzero(rung >= 0)
+    far = rung[active]
+    near = np.where(far > 0, ladder[far - 1], edge_x)
+    u_lo, u_hi = _libm(to_u, near), _libm(to_u, ladder[far])
     ya, sa, fx = yt[active], st[active], np.empty(0)
     for _ in range(600):
         if not active.size:
@@ -356,10 +376,11 @@ def _invert(f, y: np.ndarray) -> tuple[np.ndarray, dict]:
         u_mid = 0.5 * (u_lo + u_hi)
         xm = _libm(from_u, u_mid)
         fx = np.asarray(f(xm), dtype=float)
-        rise = fx < ya
+        gap = fx - ya
+        rise = gap < 0.0
         u_lo = np.where(rise, u_mid, u_lo)
         u_hi = np.where(rise, u_hi, u_mid)
-        hit = np.abs(fx - ya) <= sa
+        hit = np.abs(gap) <= sa
         if hit.any():
             xt[active[hit]] = xm[hit]
             keep = ~hit
@@ -377,9 +398,10 @@ def invert_monotone(f, y: float) -> float:
     """Solve f(x) = y for a monotone rate function or composition.
 
     The one-target form of the array search used by :class:`RateBound`:
-    same bracket, same bisection, same stop rule
-    ``|f(x) - y| <= _TOL_REL * max(1, |y|)``.  Targets outside the attained
-    range raise :class:`InversionRangeError` reporting the range edge.
+    the same bracket ladder (one call of f per ``_LADDER_BLOCK`` rungs),
+    bisection and stop rule ``|f(x) - y| <= _TOL_REL * max(1, |y|)``.
+    Targets outside the attained range raise :class:`InversionRangeError`
+    reporting the range edge, or f at the last rung.
     """
     x, failures = _invert(f, np.array([y], dtype=float))
     if failures:
@@ -611,7 +633,7 @@ def _raw_minima(logf, param: Callable[[np.ndarray], np.ndarray],
                 composed: ComposedRate, c: float, t, inverse):
     """Minimise exp(logf(u, param(t))) for every t of a scalar or 1-d grid."""
     flat, scalar = _as_array(t)
-    if c <= 0.0 or np.any(flat <= 0.0):
+    if not (c > 0.0 and np.all(flat > 0.0)):
         raise ValueError("c and t must be positive")
     u_max = _libm(math.log, _search_radii(composed, c * flat, inverse))
     values, argmins = _minimise_rows(logf, param(flat), u_max)

@@ -57,9 +57,12 @@ ORBIT_KINDS = ("ainv", "ar_omega", "ar_omega_sq", "vector")
 
 # most cells (times x modes) that orbit_norm evaluates at once
 _ORBIT_CELLS = 1 << 16
-# modes on each side of x in the nearest-ordinate window of _resolvent_peak
+# modes on each side of x in the nearest-ordinate window of _resolvent_peak,
+# sentinel modes on each side of the padded spectrum (one beyond every
+# window) and the window's padded offsets from x's insertion index
 _HALF_WINDOW = 4
-_WINDOW = np.arange(2 * _HALF_WINDOW)
+_PAD = _HALF_WINDOW + 1
+_WINDOW = np.arange(1, 2 * _HALF_WINDOW + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +113,7 @@ def single_mode(eigenvalue: complex) -> DiagonalOperator:
 
 def cluster_infinity(alpha: float, n_modes: int) -> DiagonalOperator:
     """lambda_n = -n**(-alpha) + i*n for n = 1..n_modes, with alpha > 0."""
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise ValueError("alpha must be positive")
     if n_modes < 1:
         raise ValueError("n_modes must be at least 1")
@@ -121,7 +124,7 @@ def cluster_infinity(alpha: float, n_modes: int) -> DiagonalOperator:
 
 def cluster_zero(beta: float, n_modes: int) -> DiagonalOperator:
     """lambda_n = -n**(-beta) + i/n for n = 1..n_modes, with beta > 1."""
-    if beta <= 1.0:
+    if not beta > 1.0:
         raise ValueError("beta must exceed 1")
     if n_modes < 1:
         raise ValueError("n_modes must be at least 1")
@@ -160,7 +163,7 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.orbit_kind not in ORBIT_KINDS:
             raise ValueError(f"orbit_kind must be one of {ORBIT_KINDS}")
-        if self.omega <= 0.0:
+        if not self.omega > 0.0:
             raise ValueError("omega must be positive")
         if self.x is None:
             object.__setattr__(self, "x", np.ones(self.operator.size, dtype=complex))
@@ -275,15 +278,17 @@ def _folded_spectrum(operator: DiagonalOperator) -> tuple[np.ndarray, np.ndarray
 
 
 def _padded_spectrum(ordinates: np.ndarray, damping: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ordinates and squared damping with ``_HALF_WINDOW`` sentinel modes on each side.
+    """Ordinates and squared damping with ``_PAD`` sentinel modes on each side.
 
-    A sentinel has squared damping inf, so its squared distance to every
-    x >= 0 (inf included) is inf, and the nearest-ordinate window of
-    :func:`_resolvent_peak` needs no clipping at the ends of the spectrum.
+    A sentinel's ordinate is NaN.  Its distance to every x is NaN, which
+    the window minimum of :func:`_resolvent_peak` skips, so no window needs
+    clipping at the ends of the spectrum; and every comparison with it is
+    False, so the ordinate just outside a window at an end never makes the
+    row wide.
     """
-    zeros, infs = np.zeros(_HALF_WINDOW), np.full(_HALF_WINDOW, np.inf)
-    return (np.concatenate([zeros, ordinates, zeros]),
-            np.concatenate([infs, damping ** 2, infs]))
+    pad = np.full(_PAD, np.nan)
+    return (np.concatenate([pad, ordinates, pad]),
+            np.concatenate([pad, damping ** 2, pad]))
 
 
 def _resolvent_peak(padded: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
@@ -292,30 +297,31 @@ def _resolvent_peak(padded: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.
     ``padded`` is the folded spectrum from :func:`_padded_spectrum`.  The
     eight modes nearest in ordinate (sentinels beyond the ends) give a
     first distance d.  A mode outside that window can only matter if its
-    ordinate lies within min(1, d) of x (beyond 1 the clamp decides), so
-    rows whose such range leaves the window are rescanned over the whole
-    range in one pass.
+    ordinate lies within reach = min(1, d) of x (beyond 1 the clamp
+    decides), which the two ordinates just outside the window show.  Only
+    such wide rows search for that range, and are rescanned over it in
+    one pass.
     """
     window_ordinates, window_damping2 = padded
-    ordinates = window_ordinates[_HALF_WINDOW:-_HALF_WINDOW]
-    damping2 = window_damping2[_HALF_WINDOW:-_HALF_WINDOW]
+    ordinates = window_ordinates[_PAD:-_PAD]
+    damping2 = window_damping2[_PAD:-_PAD]
     j = np.searchsorted(ordinates, x)
     near = j[:, None] + _WINDOW
     d2 = x[:, None] - window_ordinates[near]
     d2 *= d2
     d2 += window_damping2[near]
-    d = np.sqrt(d2.min(axis=1))
-    reach = np.minimum(d, 1.0)
-    lo = np.searchsorted(ordinates, x - reach)
-    hi = np.searchsorted(ordinates, x + reach, "right")
-    wide = np.flatnonzero((lo < j - _HALF_WINDOW) | (hi > j + _HALF_WINDOW))
+    reach = np.minimum(np.sqrt(np.fmin.reduce(d2, axis=1)), 1.0)
+    wide = np.flatnonzero((window_ordinates[j] >= x - reach)
+                          | (window_ordinates[j + 2 * _PAD - 1] <= x + reach))
     if wide.size:
-        counts = hi[wide] - lo[wide]
+        x_wide, reach_wide = x[wide], reach[wide]
+        lo = np.searchsorted(ordinates, x_wide - reach_wide)
+        counts = np.searchsorted(ordinates, x_wide + reach_wide, "right") - lo
         starts = np.cumsum(counts) - counts
-        cols = np.arange(int(counts.sum())) + np.repeat(lo[wide] - starts, counts)
-        d2 = damping2[cols] + (np.repeat(x[wide], counts) - ordinates[cols]) ** 2
-        d[wide] = np.sqrt(np.minimum.reduceat(d2, starts))
-    return 1.0 / np.minimum(d, 1.0)
+        cols = np.arange(int(counts.sum())) + np.repeat(lo - starts, counts)
+        d2 = damping2[cols] + (np.repeat(x_wide, counts) - ordinates[cols]) ** 2
+        reach[wide] = np.minimum(np.sqrt(np.minimum.reduceat(d2, starts)), 1.0)
+    return 1.0 / reach
 
 
 def resolvent_envelope_growth(

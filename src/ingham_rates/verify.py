@@ -225,7 +225,7 @@ def convolution_defect_profile(
     lams = np.atleast_1d(np.asarray(eigenvalues, dtype=complex))
     wts = np.atleast_1d(np.asarray(weights, dtype=complex))
     t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(np.diff(t_grid) <= 0.0) or t_grid[0] <= 0.0:
+    if not (np.all(np.diff(t_grid) > 0.0) and t_grid[0] > 0.0):
         raise ValueError("t_grid must be positive and strictly increasing")
     if np.any(lams.real >= 0.0):
         raise ValueError("eigenvalues must have strictly negative real part")
@@ -301,9 +301,9 @@ def check_mollifier_rate(
     if scenario.operator.size > 32:
         raise ValueError("mollifier sweep is meant for small mode counts")
     r_list = [float(r) for r in r_list]
-    if any(b <= a for a, b in zip(r_list, r_list[1:])) or r_list[0] <= 0.0:
+    if not (all(b > a for a, b in zip(r_list, r_list[1:])) and r_list[0] > 0.0):
         raise ValueError("r_list must be positive and increasing")
-    if t_max <= 1.0:
+    if not t_max > 1.0:
         raise ValueError("t_max must exceed 1")
     lam = scenario.operator.eigenvalues
     w = mode_weights(scenario)

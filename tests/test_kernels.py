@@ -304,6 +304,11 @@ class TestBumpKernel:
         assert bump_kernel(1.0) is bump_kernel(1.0)
         assert bump_kernel(1.0) is not bump_kernel(2.0)
 
+    @pytest.mark.parametrize("sharpness", [0.0, 200.0, math.nan])
+    def test_sharpness_outside_range_rejected(self, sharpness):
+        with pytest.raises(ValueError, match="transition_sharpness"):
+            bump_kernel(sharpness)
+
 
 class TestLeibnizTail:
     def test_exponential_envelope_closed_form(self):

@@ -18,6 +18,7 @@ from ingham_rates.rate_functions import (
     MonotoneFunction,
     SearchBracketError,
     VARIANTS,
+    _invert,
     invert_monotone,
     make_bound,
     raw_bound_ck,
@@ -26,6 +27,7 @@ from ingham_rates.rate_functions import (
 from ingham_rates.semigroup_lab import (
     cluster_infinity,
     cluster_zero,
+    mixed_cluster,
     resolvent_envelope_decay,
     resolvent_envelope_growth,
 )
@@ -167,6 +169,38 @@ class TestDomainsAndValidation:
         m = MonotoneFunction.tabulated_decay(knots, 1.0 / knots)
         r = np.linspace(0.05, 1.0, 401)
         assert np.all(m(r) >= 1.0 / r - 1e-12)
+
+    @pytest.mark.parametrize("make,knots,values", [
+        (MonotoneFunction.tabulated_growth, [0.0, math.nan], [1.0, 2.0]),
+        (MonotoneFunction.tabulated_growth, [math.nan, 1.0], [1.0, 2.0]),
+        (MonotoneFunction.tabulated_growth, [0.0, 1.0], [1.0, math.nan]),
+        (MonotoneFunction.tabulated_decay, [0.5, math.nan], [2.0, 1.0]),
+        (MonotoneFunction.tabulated_decay, [0.5, 1.0], [math.nan, 1.0]),
+    ])
+    def test_nan_table_entries_rejected(self, make, knots, values):
+        # NaN passed the old `np.any(knots < 0.0)` form of each check
+        with pytest.raises(ValueError):
+            make(knots, values)
+
+    @pytest.mark.parametrize("make", [
+        MonotoneFunction.power_growth, MonotoneFunction.exponential_growth,
+        MonotoneFunction.constant_growth, MonotoneFunction.power_decay,
+        MonotoneFunction.exponential_decay, MonotoneFunction.constant_decay,
+    ])
+    def test_nan_parameter_rejected(self, make):
+        # NaN passed the old `alpha <= 0.0` and `value < 1.0` checks:
+        # power_growth(nan) returned [nan, nan] at R = 1, 2
+        with pytest.raises(ValueError):
+            make(math.nan)
+
+    @pytest.mark.parametrize("c,t", [(math.nan, 10.0), (1.0, math.nan),
+                                     (1.0, np.array([10.0, math.nan]))])
+    def test_raw_oracles_reject_nan_c_and_t(self, c, t):
+        growth = MonotoneFunction.power_growth(1.0)
+        with pytest.raises(ValueError, match="c and t must be positive"):
+            raw_bound_ck(growth, 1, c, t)
+        with pytest.raises(ValueError, match="c and t must be positive"):
+            raw_bound_smooth(growth, c, t)
 
 
 class TestInversion:
@@ -620,6 +654,13 @@ def _rate_pair(family, alpha):
             resolvent_envelope_decay(cluster_zero(1.0 + alpha, 40)))
 
 
+def _outcomes(f, y):
+    """Per target: the array inversion's value, or its error as _outcome gives it."""
+    x, failures = _invert(f, y)
+    return [("InversionRangeError", str(failures[i])) if i in failures else float(x[i])
+            for i in range(y.size)]
+
+
 class TestArrayInversion:
     @given(variant=st.sampled_from(VARIANTS),
            family=st.sampled_from(("power", "exponential", "envelope")),
@@ -665,3 +706,64 @@ class TestArrayInversion:
         assert "exceeds the attained range" in str(excinfo.value)
         good = ts[[0, 1, 3]]
         assert bound(good).tolist() == [_reference_bound(bound, float(t)) for t in good]
+
+    @given(n_modes=st.integers(min_value=1, max_value=12),
+           alpha=st.floats(min_value=0.3, max_value=2.0),
+           side=st.sampled_from(("growth", "growth_s_min", "decay")),
+           ts=st.lists(st.floats(min_value=1.0, max_value=1e5), min_size=1, max_size=12))
+    @settings(max_examples=40, deadline=None)
+    def test_small_finite_envelopes_match_reference(self, n_modes, alpha, side, ts):
+        if side == "decay":
+            env = resolvent_envelope_decay(cluster_zero(1.0 + alpha, n_modes))
+        else:
+            env = resolvent_envelope_growth(cluster_infinity(alpha, n_modes),
+                                            s_min=1.0 if side == "growth_s_min" else 0.0)
+        # M_log (k=None) of a saturating envelope: brackets far out, and escapes
+        f = ComposedRate(env)
+        y = 0.45 * np.array(ts)
+        assert _outcomes(f, y) == [_outcome(lambda: _reference_invert(f, v)) for v in y.tolist()]
+
+
+class TestBracketLadder:
+    # a finite model's envelope saturates, so M_log grows only like log R
+    # and the large targets bracket past R = 2^400
+    SATURATED = ComposedRate(resolvent_envelope_growth(mixed_cluster(1, 2, 16, 1000), s_min=1))
+
+    def test_saturated_envelope_matches_reference(self):
+        y = 0.45 * np.geomspace(20.0, 1e4, 41)
+        assert _outcomes(self.SATURATED, y) == [
+            _outcome(lambda: _reference_invert(self.SATURATED, v)) for v in y.tolist()]
+
+    def test_target_beyond_the_last_rung_quotes_it(self):
+        top = float(self.SATURATED(2.0 ** 1023))
+        y = np.array([2.0 * top, 100.0])
+        got = _outcomes(self.SATURATED, y)
+        assert got == [_outcome(lambda: _reference_invert(self.SATURATED, v)) for v in y.tolist()]
+        assert got[0] == ("InversionRangeError", f"target {2.0 * top!r} exceeds the attained"
+                          f" range (f({2.0 ** 1023!r}) = {top!r})")
+
+    def test_rungs_are_evaluated_once_per_block(self):
+        f, calls = self.SATURATED, []
+
+        class Spy:
+            kind = "growth"
+
+            def __call__(self, x):
+                calls.append(np.array(x, dtype=float))
+                return f(x)
+
+        y = 0.45 * np.geomspace(20.0, 1e4, 41)
+        _, failures = _invert(Spy(), y)
+        assert not failures
+        # the highest far end any target needs, read off the whole ladder at once
+        ladder = 2.0 ** np.arange(1024)
+        top = int(np.max(np.argmax(f(ladder) >= y[:, None], axis=1)))
+        assert top > 400
+        blocks = top // 32 + 1
+        assert calls[0].tolist() == 0.0  # the domain edge
+        for b in range(blocks):
+            assert calls[1 + b].tolist() == ladder[32 * b:32 * b + 32].tolist()
+        # then one call per bisection step on the open targets; the one-target
+        # search makes over 400 calls for the largest target alone
+        assert all(c.size <= y.size for c in calls[1 + blocks:])
+        assert len(calls) < 60

@@ -46,6 +46,11 @@ class TestConstruction:
             cluster_zero(1.0, 10)
         with pytest.raises(ValueError, match="at least 1"):
             cluster_infinity(1.0, 0)
+        # NaN passed the old `alpha <= 0.0` and `beta <= 1.0` checks
+        with pytest.raises(ValueError, match="positive"):
+            cluster_infinity(math.nan, 10)
+        with pytest.raises(ValueError, match="exceed 1"):
+            cluster_zero(math.nan, 10)
 
     def test_cluster_infinity_eigenvalue_formula(self):
         op = cluster_infinity(0.5, 5)
@@ -71,6 +76,8 @@ class TestConstruction:
             Scenario(op, "sideways")
         with pytest.raises(ValueError, match="omega"):
             Scenario(op, "ar_omega", omega=0.0)
+        with pytest.raises(ValueError, match="omega"):
+            Scenario(op, "ar_omega", omega=math.nan)
         with pytest.raises(ValueError):
             Scenario(op, "vector", x=np.ones(3))  # length mismatch
 
@@ -415,6 +422,44 @@ class TestResolventPeakMatchesReference:
             x = np.concatenate([self._points(op), np.geomspace(1e-4, 1.0, 200)])
             assert _wide_rows(*_folded_spectrum(op), x) > 0
             self._check(op, x)
+
+    @staticmethod
+    def _ends(op):
+        ordinates, _ = _folded_spectrum(op)
+        first, last = ordinates[0], ordinates[-1]
+        return np.array([0.0, first, last, last + 0.5, last + 1.5, math.inf])
+
+    def test_points_at_the_spectrum_ends(self):
+        # there the ordinates just outside the window are sentinels
+        for n in range(1, 10):
+            for op in (cluster_infinity(1.0, n), cluster_zero(2.0, n),
+                       DiagonalOperator(-2.0 + 0.1j * np.arange(n))):
+                self._check(op, self._ends(op))
+
+    def test_wide_rows_at_the_spectrum_ends(self):
+        # heavily damped modes crowd one end, so reach is 1 and the row goes
+        # wide over modes beyond the window; a mode far off the axis bounds it
+        k = np.arange(1, 101)
+        low = DiagonalOperator(np.concatenate([-100.0 + 0.001j * k, [-0.001 + 0.2j]]))
+        high = DiagonalOperator(np.concatenate([-100.0 + 1j * (10.0 - 0.001 * k), [-0.001 + 9.8j]]))
+        for op, wide in ((low, (0, 1)), (high, (2, 3))):
+            ordinates, damping = _folded_spectrum(op)
+            x = self._ends(op)
+            for i in range(x.size):
+                assert (_wide_rows(ordinates, damping, x[i:i + 1]) > 0) == (i in wide)
+            self._check(op, x)
+
+    def test_mode_just_outside_the_window(self):
+        # eight heavily damped modes fill the window of x = 1.045; the mode
+        # that sets the norm is the fifth ordinate below x, or above it
+        crowd = -100.0 + 1j * (1.01 + 0.01 * np.arange(8))
+        for lone in (-0.01 + 1.0j, -0.01 + 1.09j):
+            spectrum = _folded_spectrum(DiagonalOperator(np.append(crowd, lone)))
+            x = np.array([1.045])
+            assert _wide_rows(*spectrum, x) == 1
+            got = _resolvent_peak(_padded_spectrum(*spectrum), x)
+            _assert_bitwise(got, _reference_resolvent_peak(*spectrum, x))
+            assert got[0] == pytest.approx(1.0 / math.hypot(0.01, 0.045), rel=1e-12)
 
     def test_envelope_floor_points(self):
         for op in (cluster_infinity(1.0, 5), cluster_zero(2.0, 300),

@@ -199,6 +199,13 @@ class TestDefectEngine:
         assert profile[0] > 0.0
 
 
+    @pytest.mark.parametrize("t_grid", [[math.nan, 1.0], [1.0, math.nan], [math.nan]])
+    def test_nan_times_rejected(self, t_grid):
+        # [nan, 1] used to pass the grid check and give a NaN sup
+        with pytest.raises(ValueError, match="t_grid"):
+            convolution_defect_profile([-1.0 + 0j], [1.0], TENT, t_grid)
+
+
 class TestMollifierRate:
     def test_rows_and_stability_bookkeeping(self):
         scenario = Scenario(single_mode(-1.0 + 1j), "vector")
@@ -242,6 +249,15 @@ class TestMollifierRate:
         assert all(row[1] == 0.0 for row in report.rows)
         assert report.passed
         assert report.constant_stability == pytest.approx(1.0)
+
+
+    @pytest.mark.parametrize("kwargs,name", [({"r_list": (math.nan, 8.0)}, "r_list"),
+                                             ({"r_list": (4.0, math.nan)}, "r_list"),
+                                             ({"t_max": math.nan}, "t_max")])
+    def test_nan_radii_and_horizon_rejected(self, kwargs, name):
+        scenario = Scenario(single_mode(-1.0 + 1j), "vector")
+        with pytest.raises(ValueError, match=name):
+            check_mollifier_rate(scenario, TENT, **kwargs)
 
 
 class TestAsymptoticRegularity:

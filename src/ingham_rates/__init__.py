@@ -10,10 +10,10 @@ The package is organised in six modules:
     they induce, numerical inversion, and the six closed-form decay
     bounds (plus raw two-term minimisation oracles).
 ``kernels``
-    Smoothing kernels with band-limited Fourier transforms: tent and
-    fudge, stated as polynomial pieces of the transform from which their
-    time profiles are derived, and a tabulated bump whose transform is
-    compactly supported; with tail integrals and numeric transforms.
+    Smoothing kernels with band-limited Fourier transforms: tent, fudge
+    and a C^2 plateau bump, each stated as polynomial pieces of the
+    transform from which its time profile is derived; with tail integrals
+    and numeric transforms.
 ``semigroup_lab``
     Diagonal operator models whose orbits and resolvents are computable
     in closed form: single modes and eigenvalue clusters accumulating at
@@ -51,7 +51,6 @@ from .rate_functions import (
 )
 from .kernels import (
     Kernel,
-    KernelTabulationError,
     bump_kernel,
     fudge_kernel,
     numeric_fourier,
@@ -112,7 +111,6 @@ __all__ = [
     "raw_bound_smooth",
     # kernels
     "Kernel",
-    "KernelTabulationError",
     "tent_kernel",
     "fudge_kernel",
     "bump_kernel",

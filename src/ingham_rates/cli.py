@@ -92,6 +92,8 @@ EXPERIMENTS = (
 PARSEVAL_TOLERANCE = 1e-6
 KERNEL_MATCH_TOLERANCE = 1e-6
 
+_KERNELS = {"tent": tent_kernel, "fudge": fudge_kernel, "bump": bump_kernel}
+
 # section -> key -> converter name; unknown sections and keys are rejected
 _SCHEMA = {
     "experiment": {"name": "str"},
@@ -109,7 +111,7 @@ _SCHEMA = {
         "omega": "float",
         "orbit": "str",
     },
-    "kernel": {"name": "str", "sharpness": "float"},
+    "kernel": {"name": "str"},
     "bound": {"variant": "str", "c": "float", "k": "int"},
     "grid": {"min": "float", "max": "float", "points": "int", "spacing": "str"},
     "r_sweep": {"values": "str", "t_max": "float"},
@@ -345,17 +347,10 @@ def parse_config(text: str, experiment: Optional[str] = None,
         cfg["scenario"] = base
 
     if "kernel" in cfg:
-        kern = {"name": "tent", "sharpness": 1.0}
+        kern = {"name": "tent"}
         kern.update(cfg["kernel"])
         cfg["kernel"] = kern
-        _check_enum(cfg, "kernel", "name", ("tent", "fudge", "bump"), errors)
-        if not 0.0 < kern["sharpness"] <= 100.0:
-            errors.append("[kernel] sharpness must lie in (0, 100]")
-        if name == "kernel_check" and kern["name"] not in ("tent", "fudge"):
-            errors.append(
-                "[kernel] kernel_check compares against closed-form transforms"
-                " and requires tent or fudge"
-            )
+        _check_enum(cfg, "kernel", "name", tuple(_KERNELS), errors)
         if name == "asymptotic_regularity" and kern["name"] == "fudge":
             errors.append(
                 "[kernel] fudge is inadmissible for asymptotic_regularity:"
@@ -422,12 +417,7 @@ def _grid_values(cfg: RunConfig) -> np.ndarray:
 
 
 def _make_kernel(cfg: RunConfig) -> Kernel:
-    spec = cfg["kernel"]
-    if spec["name"] == "tent":
-        return tent_kernel()
-    if spec["name"] == "fudge":
-        return fudge_kernel()
-    return bump_kernel(spec["sharpness"])
+    return _KERNELS[cfg["kernel"]["name"]]()
 
 
 def _make_scenario(cfg: RunConfig) -> Scenario:

@@ -131,21 +131,21 @@ class MonotoneFunction:
     @classmethod
     def power_growth(cls, alpha: float) -> "MonotoneFunction":
         """M(R) = (1 + R)**alpha with alpha > 0."""
-        if not alpha > 0.0:
-            raise ValueError("power growth exponent must be positive")
+        if not 0.0 < alpha < math.inf:
+            raise ValueError("power growth exponent must be positive and finite")
         return cls("growth", lambda R: (1.0 + R) ** alpha, f"(1+R)^{alpha:g}")
 
     @classmethod
     def exponential_growth(cls, alpha: float) -> "MonotoneFunction":
         """M(R) = exp(R**alpha) with alpha > 0."""
-        if not alpha > 0.0:
-            raise ValueError("exponential growth exponent must be positive")
+        if not 0.0 < alpha < math.inf:
+            raise ValueError("exponential growth exponent must be positive and finite")
         return cls("growth", lambda R: np.exp(R**alpha), f"exp(R^{alpha:g})")
 
     @classmethod
     def constant_growth(cls, value: float = 1.0) -> "MonotoneFunction":
-        if not value >= 1.0:
-            raise ValueError("constant rate value must be at least 1")
+        if not 1.0 <= value < math.inf:
+            raise ValueError("constant rate value must be finite and at least 1")
         return cls("growth", lambda R: np.full_like(R, value), f"{value:g}")
 
     @classmethod
@@ -167,21 +167,21 @@ class MonotoneFunction:
     @classmethod
     def power_decay(cls, alpha: float) -> "MonotoneFunction":
         """m(r) = r**(-alpha) with alpha > 0."""
-        if not alpha > 0.0:
-            raise ValueError("power decay exponent must be positive")
+        if not 0.0 < alpha < math.inf:
+            raise ValueError("power decay exponent must be positive and finite")
         return cls("decay", lambda r: r ** (-alpha), f"r^-{alpha:g}")
 
     @classmethod
     def exponential_decay(cls, alpha: float) -> "MonotoneFunction":
         """m(r) = exp(r**(-alpha)) with alpha > 0."""
-        if not alpha > 0.0:
-            raise ValueError("exponential decay exponent must be positive")
+        if not 0.0 < alpha < math.inf:
+            raise ValueError("exponential decay exponent must be positive and finite")
         return cls("decay", lambda r: np.exp(r ** (-alpha)), f"exp(r^-{alpha:g})")
 
     @classmethod
     def constant_decay(cls, value: float = 1.0) -> "MonotoneFunction":
-        if not value >= 1.0:
-            raise ValueError("constant rate value must be at least 1")
+        if not 1.0 <= value < math.inf:
+            raise ValueError("constant rate value must be finite and at least 1")
         return cls("decay", lambda r: np.full_like(r, value), f"{value:g}")
 
     @classmethod

@@ -156,9 +156,9 @@ class TestConfigParsing:
             parse_config("key_without_section = 1\n")
 
     def test_type_errors_named_per_key(self):
-        text = MINIMAL_KERNEL + "sharpness = soft\n"
+        text = MINIMAL_KERNEL + "\n[tolerances]\nabs_tol = soft\n"
         with pytest.raises(ConfigError,
-                           match=r"sharpness='soft' is not a valid float"):
+                           match=r"abs_tol='soft' is not a valid float"):
             parse_config(text, experiment="kernel_check")
 
     def test_defaults_applied(self):
@@ -167,7 +167,7 @@ class TestConfigParsing:
                                "spacing": "linear"}
         assert cfg["tolerances"] == {"abs_tol": 1e-10, "rel_tol": 1e-9}
         assert cfg["output"]["format"] == "both"
-        assert cfg["kernel"]["sharpness"] == pytest.approx(1.0)
+        assert cfg["kernel"] == {"name": "tent"}
 
     def test_mollifier_sweep_defaults(self):
         cfg = parse_config(PARSEVAL_SINGLE_MODE, experiment="mollifier_rate")
@@ -230,9 +230,15 @@ class TestConfigParsing:
             parse_config(text, experiment="asymptotic_regularity")
         assert info.value.errors == [f"[{section}] {key}={raw!r} is not a valid float"]
 
-    def test_kernel_check_requires_closed_form_kernel(self):
-        with pytest.raises(ConfigError, match="requires tent or fudge"):
-            parse_config("[kernel]\nname = bump\n", experiment="kernel_check")
+    def test_kernel_check_requires_closed_form_kernel(self, tmp_path, capsys):
+        # every kernel, the bump included, has a closed-form transform
+        cfg_path = write_config(tmp_path, "[kernel]\nname = bump\n")
+        out = tmp_path / "bump"
+        assert cli.main(["kernel", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        payload = json.loads((tmp_path / "bump.json").read_text())
+        assert payload["passed"] is True
+        assert payload["metadata"]["kernel"] == "bump"
 
     def test_regularity_rejects_fudge_at_parse_time(self):
         text = "[scenario]\nfamily = cluster_zero\n[kernel]\nname = fudge\n"
@@ -463,15 +469,15 @@ values = 4,8
         assert leftovers == set()
 
     def test_bump_sharpness_above_100_is_a_config_error(self, tmp_path, capsys):
-        # the bump kernel accepts sharpness in (0, 100] only, so a larger
-        # value is rejected when the config is parsed, before any run
+        # the bump is one fixed C^2 plateau with no options, so any
+        # sharpness is an unknown key, rejected before any run
         text = PARSEVAL_SINGLE_MODE.replace("name = tent", "name = bump\nsharpness = 200")
         cfg_path = write_config(tmp_path, text)
         rc = cli.main(["parseval", "--config", str(cfg_path),
                        "--out", str(tmp_path / "sharp")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "config error: [kernel] sharpness must lie in (0, 100]" in err
+        assert "config error: unknown key 'sharpness' in section [kernel]" in err
         assert "ValueError" not in err
         assert {p.name for p in tmp_path.iterdir()} == {cfg_path.name}
 

@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -179,6 +180,7 @@ class TestDerivedFromPieces:
     def test_kernels_are_cached(self):
         assert tent_kernel() is TENT
         assert fudge_kernel() is FUDGE
+        assert bump_kernel() is bump_kernel()
 
     def test_triangle_transform(self):
         # psi = max(0, 1 - |s|) has a kink at s = 0, so its time profile
@@ -202,14 +204,18 @@ class TestDerivedFromPieces:
             assert abs(numeric - float(tri.freq_eval(np.array(s)))) <= KERNEL_MATCH_TOLERANCE
 
 
-    def test_terms_beyond_inverse_cube_are_rejected(self):
-        # the C^2 plateau psi = 1 - S(2s - 1) on [1/2, 1], S(u) = 10u^3 -
-        # 15u^4 + 6u^5, gives terms down to t^-6, which cancel to O(1) far
-        # beyond the 1e-4 series switch (relative error 9e10 at t = 1.01e-4)
+    def test_c2_plateau_pieces_build_the_bump(self):
+        # psi = 1 - S(2s - 1) on [1/2, 1], S(u) = 10u^3 - 15u^4 + 6u^5,
+        # gives terms down to t^-6, which cancel to O(1) far beyond 1e-4
+        # (relative error 9e10 at t = 1.01e-4 with the tent's switch), so
+        # its series takes over below |t| = 3
         shoulder = 1.0 - Polynomial([0.0, 0.0, 0.0, 10.0, -15.0, 6.0])(Polynomial([-1.0, 2.0]))
         pieces = ((0.0, 0.5, (1.0,)), (0.5, 1.0, tuple(shoulder.coef.tolist())))
-        with pytest.raises(ValueError, match="t\\^-3"):
-            _piecewise_kernel("c2_plateau", pieces)
+        bump = _piecewise_kernel("bump", pieces)
+        assert bump is bump_kernel()
+        assert {p for *_, p in bump._components} == {4, 5, 6}
+        radius, series = bump._series
+        assert (radius, len(series)) == (3.0, 24)
 
 
 class TestFourierPairs:
@@ -221,7 +227,7 @@ class TestFourierPairs:
         assert abs(numeric - closed) <= 1e-6
 
     def test_unit_mass(self):
-        for kernel in (TENT, FUDGE):
+        for kernel in (TENT, FUDGE, bump_kernel()):
             assert kernel.freq_eval(np.array(0.0)) == 1.0
             assert numeric_fourier(kernel, 0.0) == pytest.approx(1.0, abs=1e-8)
 
@@ -262,8 +268,30 @@ class TestScaling:
             TENT.time(0.3, scale=math.nan)
 
 
+def _bump_shoulder(s):
+    return 1 - (10 * (2 * s - 1) ** 3 - 15 * (2 * s - 1) ** 4 + 6 * (2 * s - 1) ** 5)
+
+
+def _mp_bump_time(t: float) -> float:
+    """phi(t) = (1/pi) (sin(t/2)/t + int_{1/2}^1 psi(s) cos(s t) ds) at 40 digits."""
+    with mp.workdps(40):
+        t = mp.mpf(t)
+        head = mp.mpf(1) / 2 if t == 0 else mp.sin(t / 2) / t
+        ramp = mp.quad(lambda s: _bump_shoulder(s) * mp.cos(s * t), [0.5, 0.75, 1])
+        return float((head + ramp) / mp.pi)
+
+
+def _mp_bump_tail(t: float) -> float:
+    """int_t^inf phi = 1/2 - (1/pi) int_0^1 psi(s) sin(s t) / s ds at 30 digits."""
+    with mp.workdps(30):
+        t = mp.mpf(t)
+        head = mp.quad(lambda s: mp.sin(s * t) / s, [0, 0.5])
+        ramp = mp.quad(lambda s: _bump_shoulder(s) * mp.sin(s * t) / s, [0.5, 0.75, 1])
+        return float(mp.mpf(1) / 2 - (head + ramp) / mp.pi)
+
+
 class TestBumpKernel:
-    BUMP = bump_kernel(1.0)
+    BUMP = bump_kernel()
 
     def test_plateau_and_support(self):
         psi = self.BUMP.freq_eval
@@ -278,21 +306,38 @@ class TestBumpKernel:
         assert np.all(np.diff(psi) <= 1e-15)
         assert np.all((psi >= 0.0) & (psi <= 1.0))
 
-    def test_tabulated_mass(self):
-        assert self.BUMP.tail_mass_defect <= 1e-8
-        assert numeric_fourier(self.BUMP, 0.0) == pytest.approx(1.0, abs=1e-8)
+    def test_transform_is_c2_at_the_breakpoints(self):
+        # the shoulder meets the plateau (1) at s = 1/2 and zero at s = 1
+        # with its first and second derivatives 0 at both ends
+        shoulder = Polynomial(self.BUMP.freq_pieces[1][2])
+        assert [shoulder.deriv(m)(0.5) if m else shoulder(0.5) for m in range(3)] == [1.0, 0.0, 0.0]
+        assert [shoulder.deriv(m)(1.0) if m else shoulder(1.0) for m in range(3)] == [0.0, 0.0, 0.0]
 
-    def test_time_domain_vanishes_beyond_table(self):
-        cutoff = self.BUMP.time_cutoff
-        assert self.BUMP.time_eval(np.array(cutoff * 1.01)) == 0.0
-        assert self.BUMP.time_eval(np.array(-cutoff * 2.0)) == 0.0
+    def test_time_profile_matches_mpmath(self):
+        # both sides of the series switch at |t| = 3, where the direct form
+        # cancels most; the measured worst is 2.3e-15 just above it
+        seam = [2.9, np.nextafter(3.0, 0.0), 3.0, np.nextafter(3.0, 4.0), 3.1]
+        t = np.concatenate([[0.0, 1e-6, 1e-3, 0.1, 1.0], seam, np.geomspace(1e-6, 200.0, 40)])
+        ref = np.array([_mp_bump_time(v) for v in t])
+        assert np.abs(self.BUMP.time_eval(t) - ref).max() <= 5e-15
+        assert np.array_equal(self.BUMP.time_eval(-t), self.BUMP.time_eval(t))
 
-    def test_superpolynomial_decay_on_grid(self):
-        # |phi(t)| * t^4 stays bounded across the tabulated range
-        K = self.BUMP.quartic_decay_constant
-        assert np.isfinite(K) and K > 0.0
-        t = np.geomspace(5.0, self.BUMP.time_cutoff, 200)
-        assert np.all(np.abs(self.BUMP.time_eval(t)) * t ** 4 <= K * (1 + 1e-12))
+    def test_quartic_decay_on_grid(self):
+        # the third derivative of psi jumps by 480 at s = 1/2 and s = 1 and
+        # at their mirrors, so t^4 |phi(t)| approaches an envelope of height
+        # 4 * 480 / (2 pi); int |t| |phi(t)| dt is finite
+        envelope = 960.0 / math.pi
+        t = np.geomspace(5.0, 1e4, 40001)
+        scaled = np.abs(self.BUMP.time_eval(t)) * t ** 4
+        assert scaled.max() <= 1.2 * envelope
+        late = t >= 1e3
+        assert 0.99 * envelope <= scaled[late].max() <= 1.01 * envelope
+
+    @pytest.mark.parametrize("t", [1e-3, 0.5, 2.9, 3.0, 3.5, 10.0, 100.0])
+    def test_tail_matches_mpmath(self, t):
+        # 1/2 minus the integrated series below |t| = 3, the component
+        # tails from there on; the measured worst is 4.5e-14 at t = 3.5
+        assert tail_integral(self.BUMP, t) == pytest.approx(_mp_bump_tail(t), abs=1e-13)
 
     def test_transform_round_trip_at_interior_points(self):
         for s in (0.0, 0.3, 0.6, 0.9):
@@ -301,13 +346,7 @@ class TestBumpKernel:
             assert abs(numeric - closed) <= 1e-6
 
     def test_construction_is_cached(self):
-        assert bump_kernel(1.0) is bump_kernel(1.0)
-        assert bump_kernel(1.0) is not bump_kernel(2.0)
-
-    @pytest.mark.parametrize("sharpness", [0.0, 200.0, math.nan])
-    def test_sharpness_outside_range_rejected(self, sharpness):
-        with pytest.raises(ValueError, match="transition_sharpness"):
-            bump_kernel(sharpness)
+        assert bump_kernel() is self.BUMP
 
 
 class TestLeibnizTail:
@@ -346,9 +385,13 @@ class TestPrimitiveTail:
         assert c_fine <= 1.5 * c_coarse
 
     def test_tail_vanishes_at_large_t_for_bump(self):
-        bump = bump_kernel(1.0)
-        beyond = tail_integral(bump, bump.time_cutoff * 1.5)
-        assert abs(beyond) <= 2.0 * bump.tail_mass_defect
+        # phi = O(t^-4) oscillates at frequencies 1/2 and 1, so its tail
+        # falls like t^-4 too: each t^-4 component a cos(c u) / u^4 with
+        # |a| = 480/pi leaves at most |a| / (c t^4)
+        t = np.geomspace(100.0, 1e4, 21)
+        tails = np.array([tail_integral(bump_kernel(), v) for v in t])
+        assert np.all(np.abs(tails) * t ** 4 <= 1.01 * (480.0 / math.pi) * (2.0 + 1.0))
+        assert np.abs(tails * t ** 4).max() >= 0.1 * 480.0 / math.pi
 
     def test_tail_near_zero_approaches_half_mass(self):
         # evenness puts half the unit mass on each side of the origin
@@ -363,21 +406,21 @@ class TestPrimitiveTail:
             tail_integral(TENT, math.nan)
 
 
-def test_cli_import_leaves_scipy_interpolate_to_the_bump_kernel():
-    # scipy.interpolate costs about half a second to import and only the
-    # bump kernel's spline needs it
+def test_cli_import_and_bump_build_load_no_scipy():
+    # every kernel is its transform pieces, so no package code needs
+    # scipy, which costs about half a second to import
     code = (
         "import sys\n"
         "import ingham_rates.cli\n"
-        "assert 'scipy.interpolate' not in sys.modules\n"
         "from ingham_rates.kernels import bump_kernel\n"
         "print(bump_kernel().name)\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "bump"
+    assert out.stdout.split() == ["bump", "[]"]
 
 
 _CLOSED_FORM_RUNS = {

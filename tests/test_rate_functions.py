@@ -189,9 +189,11 @@ class TestDomainsAndValidation:
     ])
     def test_nan_parameter_rejected(self, make):
         # NaN passed the old `alpha <= 0.0` and `value < 1.0` checks:
-        # power_growth(nan) returned [nan, nan] at R = 1, 2
-        with pytest.raises(ValueError):
-            make(math.nan)
+        # power_growth(nan) returned [nan, nan] at R = 1, 2; +inf passed
+        # the `alpha > 0` and `value >= 1` checks that followed
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                make(bad)
 
     @pytest.mark.parametrize("c,t", [(math.nan, 10.0), (1.0, math.nan),
                                      (1.0, np.array([10.0, math.nan]))])

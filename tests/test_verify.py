@@ -5,7 +5,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ingham_rates.kernels import _g_near, bump_kernel, fudge_kernel, tent_kernel
@@ -30,7 +30,7 @@ from ingham_rates.verify import (
 
 TENT = tent_kernel()
 FUDGE = fudge_kernel()
-BUMP = bump_kernel(1.0)
+BUMP = bump_kernel()
 
 
 class TestParseval:
@@ -77,6 +77,9 @@ _COMPLEMENTS = {
     "tent": [(-mp.inf, -1, [1]), (-1, -0.5, [-1, -2]), (-0.5, 0.5, [0]),
              (0.5, 1, [-1, 2]), (1, mp.inf, [1])],
     "fudge": [(-mp.inf, -1, [1]), (-1, 1, [0, 0, 1]), (1, mp.inf, [1])],
+    "bump": [(-mp.inf, -1, [1]), (-1, -0.5, [-31, -240, -720, -1040, -720, -192]),
+             (-0.5, 0.5, [0]), (0.5, 1, [-31, 240, -720, 1040, -720, 192]),
+             (1, mp.inf, [1])],
 }
 
 
@@ -131,6 +134,15 @@ def _mpmath_g(x):
         return complex(mp.exp(z) * mp.e1(z))
 
 
+def _mpmath_g_n(x, n):
+    """e^x E_n(x) at 30 digits, with the cut handled as in _mpmath_g."""
+    if math.copysign(1.0, x.imag) < 0.0:
+        return _mpmath_g_n(x.conjugate(), n).conjugate()
+    with mp.workdps(30):
+        z = mp.mpc(x.real, x.imag)
+        return complex(mp.exp(z) * mp.expint(n, z))
+
+
 def _g_near_points():
     """Points with Re x <= 0 and |x| < 40 on both sides of the cut, at
     |x| -> 0 and -> 40, on both sides of |Im x| = 4 + |Re x|/2 and on both
@@ -167,18 +179,47 @@ class TestDefectEngine:
             np.array([10.0]))
         assert profile[0] == pytest.approx(7.165064028985e-5, rel=1e-9)
 
-    @pytest.mark.parametrize("kernel", [TENT, FUDGE], ids=["tent", "fudge"])
+    # below t = 1 the bump's defect is good to about 1e-8 relative only: its
+    # breakpoints' t^-6 terms cancel there
+    @pytest.mark.parametrize("kernel,t_min", [(TENT, 0.1), (FUDGE, 0.1), (BUMP, 1.0)],
+                             ids=["tent", "fudge", "bump"])
     @settings(max_examples=60, deadline=None)
     @given(sigma=st.floats(min_value=-5.0, max_value=2.0).map(lambda e: 10.0 ** e),
            omega=st.one_of(st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0]),
                            st.floats(min_value=-3.0, max_value=3.0)),
            t=st.floats(min_value=-1.0, max_value=4.0).map(lambda e: 10.0 ** e))
-    def test_closed_form_matches_mpmath(self, kernel, sigma, omega, t):
+    def test_closed_form_matches_mpmath(self, kernel, t_min, sigma, omega, t):
+        assume(t >= t_min)
         lam = complex(-sigma, omega)
         profile, _ = convolution_defect_profile(
             np.array([lam]), np.array([1.0 + 0j]), kernel, np.array([t]))
         assert profile[0] == pytest.approx(
             _mpmath_defect(lam, t, kernel.name), rel=1e-9)
+
+    @pytest.mark.parametrize("omega", [0.5, -0.5])
+    @pytest.mark.parametrize("t", [100.0, 1e3])
+    def test_plateau_edge_mode_matches_mpmath(self, omega, t):
+        # at mu = -i lambda near 1/2, 1 - psi(mu) = 80 h^3 - 240 h^4 +
+        # 192 h^5 with h = mu - 1/2 is tiny; summed in powers of mu about 0
+        # its coefficients up to 1040 cancel to 8e-11, which put a relative
+        # error of 1e-10 at t = 100 and 9e-8 at t = 1e3 on the pole term
+        lam = complex(-1e-4, omega)
+        profile, _ = convolution_defect_profile(
+            np.array([lam]), np.array([1.0 + 0j]), BUMP, np.array([t]))
+        # the defect is 2.6e-5 at t = 100 and 2.7e-8 at t = 1e3, so approx's
+        # default absolute tolerance of 1e-12 would hide the error
+        assert profile[0] == pytest.approx(_mpmath_defect(lam, t, "bump"), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("lam,t", [(-23.7 + 0.5j, 1.634), (-29.4 - 0.5j, 1.432),
+                                       (-10.0 + 0.0j, 1.0)])
+    def test_heavily_damped_bump_mode_matches_mpmath(self, lam, t):
+        # |x| = t |lambda - ic| near 40: R_5 taken as G minus five terms
+        # lost 40^5/5! of G's precision (relative error 2.9e-7 on the first
+        # mode), and the asymptotic series from |x| = 40 on missed the
+        # i pi e^x of the cut (4.2e-9 on the second)
+        profile, _ = convolution_defect_profile(
+            np.array([lam]), np.array([1.0 + 0j]), BUMP, np.array([t]))
+        assert profile[0] == pytest.approx(_mpmath_defect(lam, t, "bump"), rel=1e-10, abs=0.0)
 
     def test_g_near_matches_mpmath(self):
         x = _g_near_points()
@@ -190,6 +231,24 @@ class TestDefectEngine:
         frac = np.abs(x.imag) >= 4.0 + 0.5 * np.abs(x.real)
         assert rel[frac].max() <= 5e-15, x[frac][rel[frac].argmax()]
 
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_higher_order_g_near_matches_mpmath(self, n):
+        # e^x E_n(x) for the remainders R_3 and R_5, out to |x| = 60, where
+        # the bump's jumps switch to the asymptotic series; every third
+        # point of the E1 set, to keep the 30-digit reference quick
+        radii = np.array([40.0, 50.0, 59.99])
+        a = (np.sqrt(5.0 * radii ** 2 - 64.0) - 4.0) / 2.5
+        wide = np.concatenate([np.outer(radii, -np.exp(1j * np.linspace(0.0, 0.5, 4) * np.pi)).ravel(),
+                               -radii - 0j, -a + 1j * (4.0 + 0.5 * a),
+                               -a + 1j * (4.0 + 0.5 * a) * (1.0 - 1e-9)])
+        x = np.concatenate([_g_near_points()[::3], wide, wide.conj()])
+        ref = np.array([_mpmath_g_n(v, n) for v in x])
+        rel = np.abs(_g_near(x, n) - ref) / np.abs(ref)
+        # the series loses up to e^{|x| - |Re x|} < e^8 just below the arc
+        assert rel.max() <= 2e-13, x[rel.argmax()]
+        frac = np.abs(x.imag) >= 4.0 + 0.5 * np.abs(x.real)
+        assert rel[frac].max() <= 2e-15, x[frac][rel[frac].argmax()]
+
     def test_argmax_points_at_dominant_mode(self):
         lams = np.array([-5.0 + 1j, -0.1 + 3j])
         ws = np.array([1.0 + 0j, 1.0 + 0j])
@@ -199,9 +258,11 @@ class TestDefectEngine:
         assert profile[0] > 0.0
 
 
-    @pytest.mark.parametrize("t_grid", [[math.nan, 1.0], [1.0, math.nan], [math.nan]])
+    @pytest.mark.parametrize("t_grid", [[math.nan, 1.0], [1.0, math.nan], [math.nan],
+                                        [1.0, math.inf]])
     def test_nan_times_rejected(self, t_grid):
-        # [nan, 1] used to pass the grid check and give a NaN sup
+        # [nan, 1] used to pass the grid check and give a NaN sup, and
+        # [1, inf] a NaN sup with a divide warning
         with pytest.raises(ValueError, match="t_grid"):
             convolution_defect_profile([-1.0 + 0j], [1.0], TENT, t_grid)
 
@@ -383,3 +444,9 @@ class TestFitLoglog:
         vals[3] = 0.0
         with pytest.raises(ValueError, match="positive"):
             fit_loglog(list(zip(t, vals)))
+        # NaN and infinite rows used to pass and give (nan, nan)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="positive finite"):
+                fit_loglog([(1, 1), (2, 2), (3, bad), (4, 4), (5, 5)])
+            with pytest.raises(ValueError, match="positive finite"):
+                fit_loglog([(1, 1), (2, 2), (bad, 3), (4, 4), (5, 5)])

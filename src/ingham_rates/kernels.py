@@ -107,7 +107,8 @@ def _g_near(x: np.ndarray, n: int = 1) -> np.ndarray:
     band = np.searchsorted(_FRACTION_EDGES, np.abs(x[idx]), side="right").astype(np.int8)
     idx = idx[np.argsort(band, kind="stable")]
     depth = np.repeat(depths, np.bincount(band, minlength=depths.size))
-    levels = np.arange(depths[0], 0, -1)
+    # from the deepest point's depth down: deeper levels would touch nothing
+    levels = np.arange(np.max(depth, initial=0), 0, -1)
     active = np.searchsorted(-depth, -levels, side="right")  # points with depth >= k
     z = x[idx]
     f = z + (2 * depth + n)

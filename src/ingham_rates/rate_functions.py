@@ -548,16 +548,20 @@ def make_bound(
 def _minimise_rows(logf, p: np.ndarray, u_max: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimise exp(logf(u, p_i)) over u = log R in [0, u_max_i] for every row i.
 
-    ``logf`` maps arrays (u, p) of equal shape to log values, ``p`` holding
-    each point's row parameter.  A row scans ``_SCAN_POINTS`` points of
-    ``linspace(0, u_max_i)``; while the scan minimum lands on the upper
-    edge, u_max_i grows by log 2 and the row is scanned again.  Golden-
-    section steps then shrink the bracket around the scan minimum to width
-    ``_GOLDEN_TOL * max(1, |midpoint|)``.  All open rows share each call of
-    ``logf`` and each row takes the steps of its own one-row search, so no
-    row depends on the others.  Returns (min values, argmin R).  A row
-    whose minimum stays on the edge after ``_DOUBLINGS`` doublings, or at
-    R >= 1e250, raises :class:`SearchBracketError` (the lowest such row).
+    ``logf`` maps broadcastable arrays (u, p) to log values, ``p`` holding
+    the row parameters: a 1-d scan row ``u`` against a column ``p[rows,
+    None]`` gives one row of values per parameter, and equal-shape 1-d
+    arrays give one value per element.  A row scans ``_SCAN_POINTS`` points
+    of ``linspace(0, u_max_i)``; rows with one ``u_max_i`` share one scan
+    row, so the work on u alone runs once per distinct edge.  While the
+    scan minimum lands on the upper edge, u_max_i grows by log 2 and the
+    row is scanned again.  Golden-section steps then shrink the bracket
+    around the scan minimum to width ``_GOLDEN_TOL * max(1, |midpoint|)``.
+    All open rows share each golden-section call of ``logf`` and each row
+    takes the steps of its own one-row search, so no row depends on the
+    others.  Returns (min values, argmin R).  A row whose minimum stays on
+    the edge after ``_DOUBLINGS`` doublings, or at R >= 1e250, raises
+    :class:`SearchBracketError` (the lowest such row).
     """
     n = p.size
     u_max = u_max.copy()
@@ -566,14 +570,16 @@ def _minimise_rows(logf, p: np.ndarray, u_max: np.ndarray) -> tuple[np.ndarray, 
     todo = np.arange(n)
     last = _SCAN_POINTS - 1
     for _ in range(_DOUBLINGS):
-        grid = np.linspace(0.0, u_max[todo], _SCAN_POINTS, axis=1)
-        vals = logf(grid.ravel(), np.repeat(p[todo], _SCAN_POINTS))
-        idx = np.nanargmin(vals.reshape(grid.shape), axis=1)
-        edge = idx == last
-        done = ~edge | (u_max[todo] >= _U_CAP)
-        rows, idx = np.flatnonzero(done), idx[done]
-        lo[todo[rows]] = grid[rows, np.maximum(idx - 1, 0)]
-        hi[todo[rows]] = grid[rows, np.minimum(idx + 1, last)]
+        u_open = u_max[todo]
+        edge = np.empty(todo.size, dtype=bool)
+        for u_edge in np.unique(u_open).tolist():
+            rows = np.flatnonzero(u_open == u_edge)
+            grid = np.linspace(0.0, u_edge, _SCAN_POINTS)
+            idx = np.nanargmin(logf(grid, p[todo[rows], None]), axis=1)
+            lo[todo[rows]] = grid[np.maximum(idx - 1, 0)]
+            hi[todo[rows]] = grid[np.minimum(idx + 1, last)]
+            edge[rows] = idx == last
+        done = ~edge | (u_open >= _U_CAP)
         pinned[todo[done & edge]] = True
         todo = todo[~done]
         if not todo.size:
@@ -650,7 +656,8 @@ def raw_bound_ck(growth: MonotoneFunction, k: int, c: float, t, *, inverse=None)
     to ``max(1e6, 1e3 * Mk^{-1}(c*t))`` and refines with golden-section
     iterations to relative tolerance 1e-6 in log R.  The inverses for all
     t come from ``inverse`` when given (as :meth:`RateBound.evaluate`
-    returns them) or from one array inversion, and all t scan and refine
+    returns them) or from one array inversion.  The t that share a search
+    radius share one evaluation of M on their scan grid, and all t refine
     in lockstep, each with the steps of its one-point search.
     """
     _require_kind(growth, "growth")

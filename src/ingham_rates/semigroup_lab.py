@@ -113,8 +113,8 @@ def single_mode(eigenvalue: complex) -> DiagonalOperator:
 
 def cluster_infinity(alpha: float, n_modes: int) -> DiagonalOperator:
     """lambda_n = -n**(-alpha) + i*n for n = 1..n_modes, with alpha > 0."""
-    if not alpha > 0.0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     if n_modes < 1:
         raise ValueError("n_modes must be at least 1")
     n = np.arange(1, n_modes + 1, dtype=float)
@@ -124,8 +124,8 @@ def cluster_infinity(alpha: float, n_modes: int) -> DiagonalOperator:
 
 def cluster_zero(beta: float, n_modes: int) -> DiagonalOperator:
     """lambda_n = -n**(-beta) + i/n for n = 1..n_modes, with beta > 1."""
-    if not beta > 1.0:
-        raise ValueError("beta must exceed 1")
+    if not 1.0 < beta < math.inf:
+        raise ValueError("beta must exceed 1 and be finite")
     if n_modes < 1:
         raise ValueError("n_modes must be at least 1")
     n = np.arange(1, n_modes + 1, dtype=float)
@@ -163,8 +163,8 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.orbit_kind not in ORBIT_KINDS:
             raise ValueError(f"orbit_kind must be one of {ORBIT_KINDS}")
-        if not self.omega > 0.0:
-            raise ValueError("omega must be positive")
+        if not 0.0 < self.omega < math.inf:
+            raise ValueError("omega must be positive and finite")
         if self.x is None:
             object.__setattr__(self, "x", np.ones(self.operator.size, dtype=complex))
         else:

@@ -251,8 +251,8 @@ def check_mollifier_rate(
     r_list = [float(r) for r in r_list]
     if not (all(b > a for a, b in zip(r_list, r_list[1:])) and r_list[0] > 0.0):
         raise ValueError("r_list must be positive and increasing")
-    if not t_max > 1.0:
-        raise ValueError("t_max must exceed 1")
+    if not 1.0 < t_max < math.inf:
+        raise ValueError("t_max must exceed 1 and be finite")
     lam = scenario.operator.eigenvalues
     w = mode_weights(scenario)
     t_grid = np.linspace(1.0, float(t_max), int(points))

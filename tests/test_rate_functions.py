@@ -446,6 +446,45 @@ class TestRawBounds:
         doubled = [r > max(1e6, 0.1 * t) for r, t in zip(argmins, ts.tolist())]
         assert any(doubled) and not all(doubled)
 
+    def test_rows_with_one_radius_share_one_scan(self):
+        # M_1 = (1+R)^3 stays below 1e3 here, so every row's radius is 1e6
+        points = []
+
+        def counted(R):
+            points.append(R.size)
+            return 1.0 + R
+
+        growth = MonotoneFunction("growth", counted, "counted 1+R")
+        bound = make_bound("infinity_ck", growth=growth, c=1.0, k=1)
+        ts = np.geomspace(100.0, 1e4, 21)
+        _, inverse = bound.evaluate(ts)
+        points.clear()
+        values, argmins = raw_bound_ck(growth, 1, 1.0, ts, inverse=inverse)
+        assert points[0] == 400  # 21 rows of 400 scan points took 8400
+        # then one call per golden-section step, on at most two points per row
+        assert all(size <= 2 * ts.size for size in points[1:])
+        ref_values, ref_argmins = _reference_raw(MonotoneFunction.power_growth(1.0), 1, 1.0,
+                                                 ts.tolist())
+        assert values.tolist() == ref_values
+        assert argmins.tolist() == ref_argmins
+
+    @pytest.mark.parametrize("k,c,ts", [
+        (2, 1e-4, [2e7, 1e4, 5e8, 3e4, 1e4, 1e9, 2e7, 1e5, 1e8, 3e6]),
+        (None, 1e-3, [1e5, 10.0, 3e4, 10.0, 1e4, 300.0, 1e5]),
+    ], ids=["k2", "smooth"])
+    def test_shared_and_distinct_radii_match_reference(self, k, c, ts):
+        # unsorted, with repeats: the rows with small c*t share the radius
+        # 1e6 and the later ones have their own; for k = 2 the argmin t lies
+        # beyond the radius 1e3 * c * t once t > 1e6, so those rows double
+        # their edge (a smooth minimum lies below its radius for any t)
+        growth = MonotoneFunction.constant_growth(1.0)
+        _, argmins = _assert_matches_reference(growth, k, c, np.array(ts))
+        inverse = [_reference_invert(ComposedRate(growth, k), c * t) for t in ts]
+        radii = [min(max(1e6, 1e3 * max(r, 1.0)), 1e250) for r in inverse]
+        assert radii.count(1e6) > 1 and len(set(radii)) > 3
+        doubled = [r > radius for r, radius in zip(argmins, radii)]
+        assert any(doubled) == (k is not None)
+
     def test_pinned_row_raises_search_bracket_error(self):
         # c*t = 4.5e299 lies beyond the range of M_log, so the t = 1e300 row
         # starts at R = 1e9, finds its minimum on the edge every time and

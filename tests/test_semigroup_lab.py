@@ -52,6 +52,18 @@ class TestConstruction:
         with pytest.raises(ValueError, match="exceed 1"):
             cluster_zero(math.nan, 10)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_parameters_name_the_parameter(self, bad):
+        # +inf passed the `alpha > 0`, `beta > 1` and `omega > 0` checks:
+        # the clusters failed only inside DiagonalOperator, and the
+        # scenario built
+        with pytest.raises(ValueError, match="alpha"):
+            cluster_infinity(bad, 10)
+        with pytest.raises(ValueError, match="beta"):
+            cluster_zero(bad, 10)
+        with pytest.raises(ValueError, match="omega"):
+            Scenario(single_mode(-1.0), "vector", omega=bad)
+
     def test_cluster_infinity_eigenvalue_formula(self):
         op = cluster_infinity(0.5, 5)
         n = np.arange(1, 6)

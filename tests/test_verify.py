@@ -8,7 +8,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ingham_rates.kernels import _g_near, bump_kernel, fudge_kernel, tent_kernel
+from ingham_rates.kernels import (
+    _CHUNK,
+    _FRACTION_DEPTHS,
+    _FRACTION_EDGES,
+    _g_near,
+    bump_kernel,
+    fudge_kernel,
+    tent_kernel,
+)
 from ingham_rates.quadrature import QuadratureSpec, integrate
 from ingham_rates.semigroup_lab import (
     Scenario,
@@ -143,6 +151,46 @@ def _mpmath_g_n(x, n):
         return complex(mp.exp(z) * mp.expint(n, z))
 
 
+def _reference_g_near(x, n=1):
+    """kernels._g_near as it was, its continued fraction stepping through
+    every level of the deepest band whatever the points' depths."""
+    g = np.empty(x.shape, dtype=complex)
+    frac = np.abs(x.imag) >= 4.0 + 0.5 * np.abs(x.real)
+    depths = _FRACTION_DEPTHS + 4 * (n - 1)
+    # points sorted deepest first, so that each level updates a prefix; an
+    # int8 band makes the stable sort a radix sort
+    idx = np.flatnonzero(frac)
+    band = np.searchsorted(_FRACTION_EDGES, np.abs(x[idx]), side="right").astype(np.int8)
+    idx = idx[np.argsort(band, kind="stable")]
+    depth = np.repeat(depths, np.bincount(band, minlength=depths.size))
+    levels = np.arange(depths[0], 0, -1)
+    active = np.searchsorted(-depth, -levels, side="right")  # points with depth >= k
+    z = x[idx]
+    f = z + (2 * depth + n)
+    for k, m in zip(levels.tolist(), active.tolist()):  # f = (z + n + 2k - 2) - k (n + k - 1) / f
+        fk = f[:m]
+        np.divide(-(k * (n + k - 1)), fk, out=fk)
+        fk += z[:m]
+        fk += n + 2 * k - 2
+    g[idx] = 1.0 / f
+
+    rest = x[~frac]
+    k = np.arange(1, math.ceil(math.e * np.max(np.abs(rest), initial=0.0)) + 26)
+    shift = k - (n - 1)  # the term k = n - 1 is the Log x one
+    weights = np.divide(1.0, shift, out=np.zeros(k.size), where=shift != 0)
+    tail = np.empty_like(rest)
+    step = _CHUNK // k.size
+    for i in range(0, rest.size, step):  # terms (-x)^k / k! as one running product
+        tail[i:i + step] = np.cumprod(-rest[i:i + step, None] / k, axis=1) @ weights
+    if n == 1:
+        g[~frac] = np.exp(rest) * (-np.euler_gamma - np.log(rest) - tail)
+    else:
+        psi = -np.euler_gamma + math.fsum(1.0 / j for j in range(1, n))
+        lead = (-rest) ** (n - 1) / math.factorial(n - 1)
+        g[~frac] = np.exp(rest) * (lead * (psi - np.log(rest)) + 1.0 / (n - 1) - tail)
+    return g
+
+
 def _g_near_points():
     """Points with Re x <= 0 and |x| < 40 on both sides of the cut, at
     |x| -> 0 and -> 40, on both sides of |Im x| = 4 + |Re x|/2 and on both
@@ -193,8 +241,9 @@ class TestDefectEngine:
         lam = complex(-sigma, omega)
         profile, _ = convolution_defect_profile(
             np.array([lam]), np.array([1.0 + 0j]), kernel, np.array([t]))
+        # no absolute floor: approx's default 1e-12 would hide every defect below 1e-3
         assert profile[0] == pytest.approx(
-            _mpmath_defect(lam, t, kernel.name), rel=1e-9)
+            _mpmath_defect(lam, t, kernel.name), rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("omega", [0.5, -0.5])
     @pytest.mark.parametrize("t", [100.0, 1e3])
@@ -230,6 +279,20 @@ class TestDefectEngine:
         # one band cut to the next row's depth still stays below 1e-13
         frac = np.abs(x.imag) >= 4.0 + 0.5 * np.abs(x.real)
         assert rel[frac].max() <= 5e-15, x[frac][rel[frac].argmax()]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_g_near_equals_reference(self, n):
+        # the continued fraction starts at the deepest depth present, not
+        # at the deepest band's: bit for bit the walk through every level
+        x = _g_near_points()
+        cut = x[np.abs(x.imag) < 4.0 + 0.5 * np.abs(x.real)]
+        inputs = [x, cut, x[::-1], np.empty(0, dtype=complex)]
+        inputs += [np.array([v]) for v in (-1e-12 + 0j, -2j, -10j, -13j, -20j, -30j, -39j,
+                                           -20.0 + 1j, -3.0 - 14j)]
+        for v in inputs:
+            got, ref = _g_near(v, n), _reference_g_near(v, n)
+            assert got.tolist() == ref.tolist()
+            assert np.signbit(got.imag).tolist() == np.signbit(ref.imag).tolist()
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_higher_order_g_near_matches_mpmath(self, n):
@@ -314,7 +377,11 @@ class TestMollifierRate:
 
     @pytest.mark.parametrize("kwargs,name", [({"r_list": (math.nan, 8.0)}, "r_list"),
                                              ({"r_list": (4.0, math.nan)}, "r_list"),
-                                             ({"t_max": math.nan}, "t_max")])
+                                             ({"t_max": math.nan}, "t_max"),
+                                             # +inf passed `t_max > 1` and was caught only by
+                                             # the defect engine, whose message names t_grid
+                                             ({"t_max": math.inf}, "t_max"),
+                                             ({"t_max": -math.inf}, "t_max")])
     def test_nan_radii_and_horizon_rejected(self, kwargs, name):
         scenario = Scenario(single_mode(-1.0 + 1j), "vector")
         with pytest.raises(ValueError, match=name):

@@ -136,55 +136,90 @@ def _g_near(x: np.ndarray, n: int = 1) -> np.ndarray:
     return g
 
 
-def _jump_terms(x: np.ndarray, w: np.ndarray, t: np.ndarray, taylor: np.ndarray) -> np.ndarray:
+def _jump_terms(x: np.ndarray, w: np.ndarray, q, taylor: np.ndarray) -> np.ndarray:
     """sum_k taylor[k] w^k R_k(x) with R_k(x) = G(x) - sum_{n<k} (-1)^n n! / x^{n+1}.
 
     G(z) = e^z E1(z) on the principal branch; R_k is the remainder of its
-    asymptotic series after k terms and x = i t w, so w/x = q = -i/t.
-    Below |x| = 40, G comes from :func:`_g_near`.  For k below
-    ``_SUBTRACTED_TERMS`` the k subtracted terms are written as
-    w^{k-1-n} q^{n+1}, which stays finite as x -> 0; deeper ones take
+    asymptotic series after k terms and x = i t w, so w/x = q = -i/t; ``w``
+    and ``q`` broadcast against x (a column of modes, a row of times or a
+    scalar).  Below |x| = 40, G comes from :func:`_g_near`.  For k below
+    ``_SUBTRACTED_TERMS`` (k <= 2) the k subtracted terms are written as
+    w^{k-1-n} q^{n+1}, so w^k R_k is w^k G minus q or minus w q - q^2,
+    which stays finite as x -> 0; deeper ones take
     w^k R_k = k! (-q)^k G_{k+1}(x), since E_{k+1} = (e^{-x} - x E_k) / k,
     and then hold the switch to |x| = 60.  Beyond, the series is summed
     from term k on:
     w^k R_k = y k! (-q)^k T_k(y) with y = 1/x and T_k = 1 - (k+1) y T_{k+1},
-    so nothing cancels, as it would in G minus its first k terms.
+    so nothing cancels, as it would in G minus its first k terms.  Only
+    the terms with taylor[k] != 0 are evaluated, in both branches.
     """
+    terms = [(k, d) for k, d in enumerate(taylor) if d != 0.0]
+    if not terms:
+        return np.zeros(x.shape, dtype=complex)
     out = np.empty(x.shape, dtype=complex)
-    q = -1j / t
     deep = taylor.size > _SUBTRACTED_TERMS
     near = np.abs(x) < (_DEEP_SERIES_RADIUS if deep else _SERIES_RADIUS)
-    xn, wn, qn = x[near], w[near], q[near]
-    g = None
-    acc = np.zeros(xn.shape, dtype=complex)
-    for k, d in enumerate(taylor):
-        if d == 0.0:
-            continue
-        if k < _SUBTRACTED_TERMS:
-            g = _g_near(xn) if g is None else g
-            part = wn ** k * g
-            for n in range(k):
-                part -= (-1) ** n * math.factorial(n) * wn ** (k - 1 - n) * qn ** (n + 1)
-        else:
-            part = math.factorial(k) * (-qn) ** k * _g_near(xn, k + 1)
-        acc += d * part
-    out[near] = acc
+    q = np.broadcast_to(q, x.shape)
+    n_near = np.count_nonzero(near)
+    if n_near:
+        out[near] = _near_sum(x[near], np.broadcast_to(w, x.shape)[near], q[near], terms)
+    if n_near < near.size:
+        far = ~near
+        out[far] = _far_sum(x[far], q[far], terms)
+    return out
 
-    far = ~near
-    y, qf = 1.0 / x[far], q[far]
+
+def _near_sum(x: np.ndarray, w: np.ndarray, q: np.ndarray, terms: list) -> np.ndarray:
+    """sum of d w^k R_k(x) over ``terms``, [(k, d), ...] with k ascending, below the switch."""
+    g = acc = None
+    for k, d in terms:
+        if k < _SUBTRACTED_TERMS:
+            g = _g_near(x) if g is None else g
+            if k == 0:
+                part = g.copy()
+            elif k == 1:
+                part = w * g
+                part -= q
+            else:
+                part = w ** 2 * g
+                part -= w * q
+                part += q ** 2
+        else:
+            part = math.factorial(k) * (-q) ** k * _g_near(x, k + 1)
+        np.multiply(d, part, out=part)
+        if acc is None:
+            acc = part
+        else:
+            acc += part
+    return acc
+
+
+def _far_sum(x: np.ndarray, q: np.ndarray, terms: list) -> np.ndarray:
+    """sum of d w^k R_k(x) over ``terms``, [(k, d), ...] with k ascending, beyond the switch."""
+    y = 1.0 / x
     tk = np.ones(y.shape, dtype=complex)
-    series = [None] * taylor.size
-    for n in range(_SERIES_TERMS - 1, 0, -1):  # T_{n-1} = 1 - n y T_n
-        tk = tk * y
+    lowest, higher = terms[0][0], {k for k, _ in terms[1:]}
+    series = {}
+    for n in range(_SERIES_TERMS - 1, lowest, -1):  # T_{n-1} = 1 - n y T_n, in place
+        tk *= y
         tk *= -n
         tk += 1.0
-        if n - 1 < taylor.size:
-            series[n - 1] = tk
-    acc = np.zeros(y.shape, dtype=complex)
-    for k, d in enumerate(taylor):
-        acc += d * math.factorial(k) * (-qf) ** k * series[k]
-    out[far] = y * acc
-    return out
+        if n - 1 in higher:
+            series[n - 1] = tk.copy()
+    series[lowest] = tk
+    # (-1)^k goes into the coefficient, so q is not negated, and q itself
+    # stands for q**1, which runs numpy's slow general power loop.  Rounding
+    # is symmetric in sign, so only the sign of a zero could change; the
+    # reference test in tests/test_verify.py checks those on the cut
+    acc = None
+    for k, d in terms:
+        term = d * math.factorial(k) * (-1) ** k * (q if k == 1 else q ** k)
+        term *= series[k]
+        if acc is None:
+            acc = term
+        else:
+            acc += term
+    return np.multiply(y, acc, out=acc)
 
 
 def _piecewise_freq(pieces: tuple) -> Callable[[np.ndarray], np.ndarray]:
@@ -374,7 +409,8 @@ def _component_tails(rows, t_from: float) -> np.ndarray:
     ``rows`` holds ``(coef, trig, freq, power)`` tuples.  With a = t_from,
     ``int_a^inf e^{i|f|u} u^-p du = e^{i|f|a} (i|f|)^{p-1} R_{p-1}(-i|f|a) / (p-1)!``
     with R_k as in :func:`_jump_terms`, whose one call per power p takes
-    all oscillating rows: w = -|f|, x = i a w and the unit vector e_{p-1}.
+    all oscillating rows: w = -|f|, x = i a w, the scalar q = -i/a and the
+    unit vector e_{p-1}.
     cos takes the real part; sin, odd in f, sign(f) times the imaginary part.
     """
     out = np.zeros(len(rows))
@@ -388,9 +424,8 @@ def _component_tails(rows, t_from: float) -> np.ndarray:
     is_cos = np.array([row[1] == "cos" for row in rows])
     for p, idx in osc.items():
         w = -np.abs(freqs[idx])
-        t = np.full(w.shape, t_from)
-        x = 1j * (t * w)
-        tail = _jump_terms(x, w, t, np.eye(p)[p - 1])
+        x = 1j * (t_from * w)
+        tail = _jump_terms(x, w, -1j / t_from, np.eye(p)[p - 1])
         tail *= np.exp(-x) * ((-1j) ** (p - 1) / math.factorial(p - 1))
         out[idx] = coefs[idx] * np.where(is_cos[idx], tail.real, np.sign(freqs[idx]) * tail.imag)
     return out

@@ -115,7 +115,7 @@ def fit_loglog(pairs: Sequence[tuple]) -> tuple[float, float]:
 _EXP_CLIP = 45.0
 
 
-def _frequency_route(kernel: Kernel, t_grid: np.ndarray):
+def _frequency_route(kernel: Kernel):
     """Mode defects from the closed form of the frequency integral.
 
     ``f - f*phi = (1/2pi) int e^{ist} w (1 - psi(s)) / (is - lambda) ds``.
@@ -128,31 +128,49 @@ def _frequency_route(kernel: Kernel, t_grid: np.ndarray):
     w = mu - c and x = i t w.  G is cut where s = Im lambda; the principal
     branch takes the side s < Im lambda there, so the piece [a, b) holding
     Im lambda adds the pole term ``2 pi e^{lambda t} p(mu)``, with p in its
-    Taylor basis about its centre.
+    Taylor basis about its centre.  Returns ``defects(lam, wts, t)``: the
+    complex defects of the modes, one row each, at the times ``t``, which
+    hold one row per mode or one row for all; q = -i/t is formed once per
+    call and shared by the jumps.
     """
     breaks, polys, jumps = kernel.complement
-    t = t_grid[None, :]
 
-    def defects(lam: np.ndarray, wts: np.ndarray) -> np.ndarray:
+    def defects(lam: np.ndarray, wts: np.ndarray, t: np.ndarray) -> np.ndarray:
         mu = -1j * lam
         piece = np.searchsorted(breaks, lam.imag, side="right")
         p_mu = np.empty(lam.shape, dtype=complex)
         for j, (centre, p) in enumerate(polys):
             sel = piece == j
             p_mu[sel] = polyval(mu[sel] - centre, p)
-        total = 2.0 * math.pi * p_mu[:, None] * np.exp(lam[:, None] * t)
-        shape = (lam.size, t.size)
-        tt = np.broadcast_to(t, shape)
+        # products in place, their operands in the order that fixes their bits
+        total = lam[:, None] * t
+        np.exp(total, out=total)
+        np.multiply(2.0 * math.pi * p_mu[:, None], total, out=total)
+        q = -1j / t
+        # built from real parts so that Im x is +0.0 when Im lambda = c;
+        # only Im x differs between the jumps, and _jump_terms reads x only
+        x = np.empty(total.shape, dtype=complex)
+        np.multiply(t, lam.real[:, None], out=x.real)
         for c, taylor in jumps:
-            x = np.empty(shape, dtype=complex)
-            # built from real parts so that Im x is +0.0 when Im lambda = c
-            x.real = tt * lam.real[:, None]
-            x.imag = tt * (lam.imag[:, None] - c)
-            w = np.broadcast_to((mu - c)[:, None], shape)
-            total += 1j * np.exp(1j * c * t) * _jump_terms(x, w, tt, taylor)
-        return wts[:, None] * total / (2.0 * math.pi)
+            np.multiply(t, lam.imag[:, None] - c, out=x.imag)
+            jump = _jump_terms(x, (mu - c)[:, None], q, taylor)
+            total += np.multiply(1j * np.exp(1j * c * t), jump, out=jump)
+        np.multiply(wts[:, None], total, out=total)
+        return np.divide(total, 2.0 * math.pi, out=total)
 
     return defects
+
+
+def _abs_defects(kernel: Kernel, lams: np.ndarray, wts: np.ndarray, times: np.ndarray):
+    """|f - f*phi| of the modes ``lams`` in chunks of at most ``_CHUNK``
+    (mode, time) pairs: yields each chunk's first mode and its |defects|.
+    ``times`` holds one row per mode, or one row for all of them."""
+    defects = _frequency_route(kernel)
+    step = max(1, _CHUNK // times.shape[1])
+    for start in range(0, lams.size, step):
+        rows = slice(start, start + step)
+        t = times if times.shape[0] == 1 else times[rows]
+        yield start, np.abs(defects(lams[rows], wts[rows], t))
 
 
 def convolution_defect_profile(
@@ -167,9 +185,10 @@ def convolution_defect_profile(
     orbit is extended by zero to t < 0.  The defects come in closed form
     from the frequency integral over the kernel's transform pieces, with a
     few exponential integrals per mode and time and no quadrature
-    (:func:`_frequency_route`).  Below t = 1 the bump's t^-6 breakpoint
-    terms cancel: its defects there are good to about 1e-8 relative, and
-    to 3e-5 for |Re lambda| near 50 at t = 0.1.
+    (:func:`_frequency_route`), every mode against the one row t_grid.
+    Below t = 1 the bump's t^-6 breakpoint terms cancel: its defects there
+    are good to about 1e-8 relative, and to 3e-5 for |Re lambda| near 50 at
+    t = 0.1.
     """
     lams = np.atleast_1d(np.asarray(eigenvalues, dtype=complex))
     wts = np.atleast_1d(np.asarray(weights, dtype=complex))
@@ -178,12 +197,9 @@ def convolution_defect_profile(
         raise ValueError("t_grid must be finite, positive and strictly increasing")
     if np.any(lams.real >= 0.0):
         raise ValueError("eigenvalues must have strictly negative real part")
-    defects = _frequency_route(kernel, t_grid)
-    step = max(1, _CHUNK // t_grid.size)
     sup = np.zeros(t_grid.size)
     arg = np.zeros(t_grid.size, dtype=int)
-    for start in range(0, lams.size, step):
-        vals = np.abs(defects(lams[start:start + step], wts[start:start + step]))
+    for start, vals in _abs_defects(kernel, lams, wts, t_grid[None, :]):
         best = vals.max(axis=0)
         upd = best > sup
         arg[upd] = start + vals.argmax(axis=0)[upd]
@@ -244,25 +260,34 @@ def check_mollifier_rate(
     where it is attained, e.g. ``cluster_infinity(1, 32)`` with the
     ``ainv`` orbit, whose mode at Im lambda = R keeps R E(R) near 1.  An
     analytic orbit such as one damped single mode beats 1/R and fails it
-    by design.
+    by design.  All radii go through the defect engine in one pass.
     """
     if scenario.operator.size > 32:
         raise ValueError("mollifier sweep is meant for small mode counts")
     r_list = [float(r) for r in r_list]
-    if not (all(b > a for a, b in zip(r_list, r_list[1:])) and r_list[0] > 0.0):
-        raise ValueError("r_list must be positive and increasing")
+    if not (all(b > a for a, b in zip(r_list, r_list[1:])) and 0.0 < r_list[0]
+            and r_list[-1] < math.inf):
+        raise ValueError("r_list must be finite, positive and increasing")
     if not 1.0 < t_max < math.inf:
         raise ValueError("t_max must exceed 1 and be finite")
+    if int(points) < 1:
+        raise ValueError("points must be at least 1")
     lam = scenario.operator.eigenvalues
     w = mode_weights(scenario)
-    t_grid = np.linspace(1.0, float(t_max), int(points))
-    rows = []
-    for r in r_list:
-        # phi_R defect at time t equals the unit-scale defect of the
-        # eigenvalues lambda/R evaluated at R t
-        sup, _ = convolution_defect_profile(lam / r, w, kernel, r * t_grid)
-        e_val = float(np.max(sup))
-        rows.append((r, e_val, 1.0 / r, r * e_val))
+    radii = np.array(r_list)
+    # phi_R defect at time t equals the unit-scale defect of the eigenvalues
+    # lambda/R evaluated at R t: the modes of every radius, stacked radius by
+    # radius with their own row of times, go through the engine in one pass
+    lams = (lam / radii[:, None]).ravel()
+    if not (r_list[-1] * t_max < math.inf and np.all(lams.real < 0.0)):
+        raise ValueError("r_list is too large: R t_max overflows or lambda/R underflows")
+    times = np.repeat(radii[:, None] * np.linspace(1.0, float(t_max), int(points)),
+                      lam.size, axis=0)
+    peaks = np.empty(lams.size)
+    for start, vals in _abs_defects(kernel, lams, np.tile(w, radii.size), times):
+        peaks[start:start + vals.shape[0]] = vals.max(axis=1)
+    rows = [(r, e_val, 1.0 / r, r * e_val)
+            for r, e_val in zip(r_list, peaks.reshape(radii.size, lam.size).max(axis=1).tolist())]
     scaled = np.array([row[3] for row in rows])
     failures = []
     if np.all(scaled == 0.0):

@@ -8,11 +8,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ingham_rates import verify
 from ingham_rates.kernels import (
     _CHUNK,
+    _DEEP_SERIES_RADIUS,
     _FRACTION_DEPTHS,
     _FRACTION_EDGES,
+    _SERIES_RADIUS,
+    _SERIES_TERMS,
+    _SUBTRACTED_TERMS,
     _g_near,
+    _jump_terms,
     bump_kernel,
     fudge_kernel,
     tent_kernel,
@@ -191,6 +197,68 @@ def _reference_g_near(x, n=1):
     return g
 
 
+def _reference_jump_terms(x, w, t, taylor):
+    """kernels._jump_terms as it was: q = -i/t divided out over the whole
+    array, zero Taylor coefficients evaluated on the far branch, powers w^0,
+    w^1 and q^1 built as temporaries, sums started from zeros and a fresh
+    array at each Horner level."""
+    out = np.empty(x.shape, dtype=complex)
+    q = -1j / t
+    deep = taylor.size > _SUBTRACTED_TERMS
+    near = np.abs(x) < (_DEEP_SERIES_RADIUS if deep else _SERIES_RADIUS)
+    xn, wn, qn = x[near], w[near], q[near]
+    g = None
+    acc = np.zeros(xn.shape, dtype=complex)
+    for k, d in enumerate(taylor):
+        if d == 0.0:
+            continue
+        if k < _SUBTRACTED_TERMS:
+            g = _g_near(xn) if g is None else g
+            part = wn ** k * g
+            for n in range(k):
+                part -= (-1) ** n * math.factorial(n) * wn ** (k - 1 - n) * qn ** (n + 1)
+        else:
+            part = math.factorial(k) * (-qn) ** k * _g_near(xn, k + 1)
+        acc += d * part
+    out[near] = acc
+
+    far = ~near
+    y, qf = 1.0 / x[far], q[far]
+    tk = np.ones(y.shape, dtype=complex)
+    series = [None] * taylor.size
+    for n in range(_SERIES_TERMS - 1, 0, -1):  # T_{n-1} = 1 - n y T_n
+        tk = tk * y
+        tk *= -n
+        tk += 1.0
+        if n - 1 < taylor.size:
+            series[n - 1] = tk
+    acc = np.zeros(y.shape, dtype=complex)
+    for k, d in enumerate(taylor):
+        acc += d * math.factorial(k) * (-qf) ** k * series[k]
+    out[far] = y * acc
+    return out
+
+
+def _jump_points():
+    """x = i t w on a grid of a column of w and a row of times t, built from
+    real parts as the defect engine builds it.  |x| = t |w| falls on both
+    sides of 40 and 60 and near 0, with Re x <= 0, off the cut at angles of
+    w from 0 to pi and on it with Im x = +0.0 and -0.0."""
+    t = np.array([[0.5, 1.0, 2.0]])
+    radii = np.array([1e-6, 0.5, 3.0, 12.0, 19.9999, 20.0, 20.0001, 29.9999, 30.0, 30.0001,
+                      39.9999, 40.0, 40.0001, 59.9999, 60.0, 60.0001, 150.0])
+    turns = np.exp(1j * np.array([0.0, 0.2, 0.6, 1.0, 1.4, 0.5 * np.pi - 1e-9,
+                                  0.5 * np.pi + 1e-9, 1.8, 2.4, 3.0, np.pi]))
+    cut = np.empty(2 * radii.size, dtype=complex)  # Re w = +-0.0 gives Im x = +-0.0
+    cut.real = np.repeat([0.0, -0.0], radii.size)
+    cut.imag = np.tile(radii, 2)
+    w = np.concatenate([np.outer(radii, turns).ravel(), cut])
+    x = np.empty((w.size, t.size), dtype=complex)
+    x.real = t * -w.imag[:, None]
+    x.imag = t * w.real[:, None]
+    return x, w, t
+
+
 def _g_near_points():
     """Points with Re x <= 0 and |x| < 40 on both sides of the cut, at
     |x| -> 0 and -> 40, on both sides of |Im x| = 4 + |Re x|/2 and on both
@@ -294,6 +362,28 @@ class TestDefectEngine:
             assert got.tolist() == ref.tolist()
             assert np.signbit(got.imag).tolist() == np.signbit(ref.imag).tolist()
 
+    def test_jump_terms_equal_reference(self):
+        # q from one row of times or a scalar, zero coefficients skipped,
+        # no power temporaries and Horner in place: bit for bit the old
+        # engine, signs of zero included, for every jump of the three
+        # kernels and the unit vectors of the component tails
+        x, w, t = _jump_points()
+        assert np.any(np.signbit(x.imag) & (x.imag == 0.0))
+        assert np.any(~np.signbit(x.imag) & (x.imag == 0.0))
+        rows = [taylor for k in (TENT, FUDGE, BUMP) for _, taylor in k.complement[2]]
+        rows += [np.eye(p)[p - 1] for p in range(1, 7)]
+        for taylor in rows:
+            ref = _reference_jump_terms(x, np.broadcast_to(w[:, None], x.shape),
+                                        np.broadcast_to(t, x.shape), taylor)
+            outs = [(_jump_terms(x, w[:, None], -1j / t, taylor), ref)]
+            # a scalar q, as the component tails pass it, one time at a time
+            outs += [(_jump_terms(x[:, j], w, -1j / float(tj), taylor), ref[:, j])
+                     for j, tj in enumerate(t[0])]
+            for got, want in outs:
+                assert got.tolist() == want.tolist(), taylor
+                for part in (np.real, np.imag):
+                    assert np.signbit(part(got)).tolist() == np.signbit(part(want)).tolist(), taylor
+
     @pytest.mark.parametrize("n", [4, 6])
     def test_higher_order_g_near_matches_mpmath(self, n):
         # e^x E_n(x) for the remainders R_3 and R_5, out to |x| = 60, where
@@ -381,11 +471,53 @@ class TestMollifierRate:
                                              # +inf passed `t_max > 1` and was caught only by
                                              # the defect engine, whose message names t_grid
                                              ({"t_max": math.inf}, "t_max"),
-                                             ({"t_max": -math.inf}, "t_max")])
+                                             ({"t_max": -math.inf}, "t_max"),
+                                             # so did an infinite radius
+                                             ({"r_list": (4.0, math.inf)}, "r_list"),
+                                             ({"r_list": (math.inf,)}, "r_list"),
+                                             ({"r_list": (4.0, 1e308)}, "r_list"),
+                                             ({"points": 0}, "points")])
     def test_nan_radii_and_horizon_rejected(self, kwargs, name):
         scenario = Scenario(single_mode(-1.0 + 1j), "vector")
         with pytest.raises(ValueError, match=name):
             check_mollifier_rate(scenario, TENT, **kwargs)
+
+
+def _per_radius_rows(scenario, kernel, r_list=(4.0, 8.0, 16.0, 32.0), t_max=20.0, points=39):
+    """E(R) as check_mollifier_rate computed it before its one stacked pass:
+    one convolution_defect_profile call per radius."""
+    lam, w = scenario.operator.eigenvalues, mode_weights(scenario)
+    t_grid = np.linspace(1.0, t_max, points)
+    return [float(np.max(convolution_defect_profile(lam / r, w, kernel, r * t_grid)[0]))
+            for r in r_list]
+
+
+class TestMollifierStackedPass:
+    @pytest.mark.parametrize("kernel", [TENT, FUDGE], ids=["tent", "fudge"])
+    @pytest.mark.parametrize("orbit", ["vector", "ar_omega"])
+    @pytest.mark.parametrize("operator", [cluster_zero(2.0, 1), cluster_zero(2.0, 32),
+                                          cluster_infinity(1.0, 32)],
+                             ids=["zero-1", "zero-32", "infinity-32"])
+    @pytest.mark.parametrize("chunk", [None, 5 * 39], ids=["one-chunk", "chunks-of-5-rows"])
+    def test_rows_equal_per_radius_loop(self, kernel, orbit, operator, chunk, monkeypatch):
+        # every radius's modes lambda/R with times R t in one engine pass,
+        # each radius taking the max over its own block; chunks of 5 rows
+        # cut across the radius blocks of 32 modes
+        if chunk is not None:
+            monkeypatch.setattr(verify, "_CHUNK", chunk)
+        scenario = Scenario(operator, orbit)
+        report = check_mollifier_rate(scenario, kernel)
+        assert [row[1] for row in report.rows] == _per_radius_rows(scenario, kernel)
+
+    def test_lone_series_point_agrees_to_rounding(self):
+        # not bit for bit everywhere: at R = 8 and 16 one jump of the
+        # per-radius loop had a single point in _g_near's series branch,
+        # which numpy sums as a one-row product by another BLAS path than
+        # the batch that holds it in the stacked pass (CHANGES.md FOUND)
+        scenario = Scenario(cluster_infinity(1.5, 4), "vector")
+        stacked = [row[1] for row in check_mollifier_rate(scenario, TENT).rows]
+        per_radius = _per_radius_rows(scenario, TENT)
+        assert stacked == pytest.approx(per_radius, rel=1e-14, abs=0.0)
 
 
 class TestAsymptoticRegularity:

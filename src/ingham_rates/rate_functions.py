@@ -116,15 +116,18 @@ class MonotoneFunction:
 
     def __call__(self, x):
         arr, scalar = _as_array(x)
+        self._check_domain(arr)
+        with np.errstate(over="ignore"):
+            out = np.asarray(self.evaluator(arr), dtype=float)
+        return _ret(out, scalar)
+
+    def _check_domain(self, arr: np.ndarray) -> None:
         # negated reductions, so that NaN fails the check too
         if self.kind == "growth":
             if not (arr >= 0.0).all():
                 raise ValueError("growth rate argument must be non-negative")
         elif not ((arr > 0.0) & (arr <= 1.0)).all():
             raise ValueError("decay rate argument must lie in (0, 1]")
-        with np.errstate(over="ignore"):
-            out = np.asarray(self.evaluator(arr), dtype=float)
-        return _ret(out, scalar)
 
     # -- growth families ---------------------------------------------------
 
@@ -240,9 +243,11 @@ class ComposedRate:
         return self.source.kind
 
     def __call__(self, x):
+        # the source's checks and evaluator, without a second pass through its __call__
         arr, scalar = _as_array(x)
-        v = np.asarray(self.source(arr), dtype=float)
+        self.source._check_domain(arr)
         with np.errstate(over="ignore", invalid="ignore"):
+            v = np.asarray(self.source.evaluator(arr), dtype=float)
             if self.kind == "growth":
                 if self.k is None:
                     out = v * (np.log1p(arr) + np.log(v))
@@ -272,11 +277,13 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Per kind: the domain edge, the first rung of the bracket ladder, the
 # factor from one rung to the next, the maps x -> u and u -> x of the
-# bisection coordinate (f increases in u) and whether a rung has left the
+# bisection coordinate (f increases in u) on arrays, with libm per element
+# and the exact steps 1/x and -u in numpy, and whether a rung has left the
 # float range.
 _BISECTION = {
-    "growth": (0.0, 1.0, 2.0, math.log1p, math.expm1, lambda far: far > 1e308),
-    "decay": (1.0, 0.5, 0.5, lambda x: math.log(1.0 / x), lambda u: math.exp(-u),
+    "growth": (0.0, 1.0, 2.0, lambda x: _libm(math.log1p, x), lambda u: _libm(math.expm1, u),
+               lambda far: far > 1e308),
+    "decay": (1.0, 0.5, 0.5, lambda x: _libm(math.log, 1.0 / x), lambda u: _libm(math.exp, -u),
               lambda far: far < 1e-300),
 }
 # rungs of the bracket ladder evaluated per call of f
@@ -363,23 +370,24 @@ def _invert(f, y: np.ndarray) -> tuple[np.ndarray, dict]:
             f" (f({float(ladder[-1])!r}) = {float(f_rungs[-1])!r})")
 
     # Bisect in u, where f increases, until each residual is within slack.
-    # The open elements' state is kept compacted and shrinks only on a hit.
+    # The open elements' state is kept compacted and shrinks only on a hit;
+    # the bracket ends move in place.
     xt = np.full(todo.size, np.nan)
     active = np.flatnonzero(rung >= 0)
     far = rung[active]
     near = np.where(far > 0, ladder[far - 1], edge_x)
-    u_lo, u_hi = _libm(to_u, near), _libm(to_u, ladder[far])
+    u_lo, u_hi = to_u(near), to_u(ladder[far])
     ya, sa, fx = yt[active], st[active], np.empty(0)
     for _ in range(600):
         if not active.size:
             break
         u_mid = 0.5 * (u_lo + u_hi)
-        xm = _libm(from_u, u_mid)
+        xm = from_u(u_mid)
         fx = np.asarray(f(xm), dtype=float)
         gap = fx - ya
         rise = gap < 0.0
-        u_lo = np.where(rise, u_mid, u_lo)
-        u_hi = np.where(rise, u_hi, u_mid)
+        np.copyto(u_lo, u_mid, where=rise)
+        np.copyto(u_hi, u_mid, where=~rise)
         hit = np.abs(gap) <= sa
         if hit.any():
             xt[active[hit]] = xm[hit]
@@ -454,6 +462,8 @@ class RateBound:
         run against this bound inverts once.
         """
         arr, scalar = _as_array(t)
+        if not np.isfinite(arr).all():
+            raise ValueError("t must be finite")
         if np.any(arr < self.t_min * (1.0 - 1e-12)):
             raise BoundDomainError(
                 f"bound for {self.variant} is defined for t >= {self.t_min!r}"

@@ -55,14 +55,21 @@ __all__ = [
 
 ORBIT_KINDS = ("ainv", "ar_omega", "ar_omega_sq", "vector")
 
-# most cells (times x modes) that orbit_norm evaluates at once
-_ORBIT_CELLS = 1 << 16
+# most cells (times x modes) that orbit_norm evaluates at once; the
+# relative distance to a row's maximum within which a mode is tied with
+# the maximiser, and the share of the largest amplitude below which a row
+# maximum is too near underflow to narrow the sweep on
+_ORBIT_CELLS = 1 << 14
+_TIE_REL = 1e-9
+_UNDERFLOW = 1e-290
 # modes on each side of x in the nearest-ordinate window of _resolvent_peak,
 # sentinel modes on each side of the padded spectrum (one beyond every
-# window) and the window's padded offsets from x's insertion index
+# window), and the padded offsets from x's insertion index of the window
+# and of the window with the mode just outside it on each side
 _HALF_WINDOW = 4
 _PAD = _HALF_WINDOW + 1
 _WINDOW = np.arange(1, 2 * _HALF_WINDOW + 1)
+_OUTER = np.arange(2 * _PAD)
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,46 +199,170 @@ def mode_weights(scenario: Scenario) -> np.ndarray:
 def _orbit_amplitudes(scenario: Scenario) -> np.ndarray:
     """|w_n| with x replaced by ones for the operator-norm orbit kinds."""
     lam = scenario.operator.eigenvalues
+    if scenario.orbit_kind == "vector":
+        return np.abs(scenario.x)
+    # the operations of 1 / |lam| and |lam / (omega - lam)**j|, in place
     if scenario.orbit_kind == "ainv":
-        return 1.0 / np.abs(lam)
-    if scenario.orbit_kind == "ar_omega":
-        return np.abs(lam / (scenario.omega - lam))
+        amps = np.abs(lam)
+        return np.divide(1.0, amps, out=amps)
+    d = scenario.omega - lam
     if scenario.orbit_kind == "ar_omega_sq":
-        return np.abs(lam / (scenario.omega - lam) ** 2)
-    return np.abs(scenario.x)
+        np.square(d, out=d)
+    return np.abs(np.divide(lam, d, out=d))
+
+
+def _finite_times(t) -> np.ndarray:
+    """t as a float array, rejecting NaN and +-inf by name."""
+    arr = np.asarray(t, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError("t must be finite")
+    return arr
+
+
+def _orbit_rows(times: np.ndarray, sigma: np.ndarray, amps: np.ndarray, out: np.ndarray) -> None:
+    """out[i] = max_n amps[n] exp(times[i] sigma[n]), in blocks of at most ``_ORBIT_CELLS`` cells.
+
+    Each block is evaluated in place in one buffer (one row per block when
+    there are more modes), so the full times-by-modes matrix is never built.
+    """
+    rows = max(1, _ORBIT_CELLS // sigma.size)
+    buffer = np.empty((min(rows, times.size), sigma.size))
+    for start in range(0, times.size, rows):
+        block = buffer[:min(rows, times.size - start)]
+        np.multiply(times[start:start + rows, None], sigma, out=block)
+        np.exp(block, out=block)
+        block *= amps
+        block.max(axis=1, out=out[start:start + rows])
+
+
+def _orbit_sweep(scenario: Scenario, times: np.ndarray, edges: bool = False):
+    """Orbit norms at the finite 1-d ``times`` by a sweep along the maximiser.
+
+    The norm is the upper envelope of the lines log|w_n| + t Re lambda_n,
+    so the maximising mode's Re lambda never decreases as t grows.  With
+    the modes sorted by Re lambda and the times sorted, the earliest and
+    the latest time are evaluated over all modes, and a rectangle of the
+    times between them by a range of modes is split at its middle time.
+    An evaluated row narrows the range of the times on either side: later
+    times keep the modes from its maximiser onward, earlier ones the modes
+    up to it, each side widened to every mode within a relative
+    ``_TIE_REL`` of the row maximum.  A mode further below is below the
+    maximiser at every time on the other side: in exact arithmetic by a
+    factor under 1 - 1e-9, and in floating point too, since a cell with a
+    normal exponential is within about 1e-13 of its exact value (|t Re
+    lambda| <= 710 there) and the other cells lie below A * 2.3e-308, A
+    the largest amplitude.  So a row narrows only if its maximum is at
+    least ``_UNDERFLOW * A`` (a normal number), and a time whose norm ends
+    below that is evaluated again over all modes.  A rectangle of at most
+    ``_ORBIT_CELLS`` cells is evaluated directly.  Each kept cell is
+    computed by the same operations as in the full matrix, so each norm is
+    bitwise its maximum over all modes.  The sweep needs every cell finite
+    (no overflowing exp, so no 0 * inf), which holds when A exp(t Re
+    lambda) is finite at the earliest time and most damped mode; otherwise,
+    and when all cells fit in one block, the modes are evaluated unsorted
+    in blocks, since which NaN a maximum returns depends on their order.
+
+    Returns the norms in the order of ``times`` and, when ``edges`` is
+    set, the index in the operator of the maximising mode at the earliest
+    and at the latest time (the first one, as ``np.argmax`` takes it),
+    else None.
+    """
+    amps = _orbit_amplitudes(scenario)
+    sigma = scenario.operator.eigenvalues.real
+    by_time = np.argsort(times, kind="stable")
+    ts = times[by_time]
+    vals = np.empty(ts.size)
+    top_amp = amps.max()
+    floor = _UNDERFLOW * top_amp
+    # no cell exceeds top_amp exp(t Re lambda) at the earliest time and
+    # most damped mode, or top_amp when that time is not negative
+    if (ts.size * sigma.size > _ORBIT_CELLS and floor >= np.finfo(float).tiny
+            and np.isfinite(top_amp * np.exp(min(ts[0], 0.0) * sigma.min(keepdims=True))).all()):
+        argmax = _sweep_sorted(ts, sigma, amps, floor, vals, edges)
+    else:
+        _orbit_rows(ts, np.ascontiguousarray(sigma), amps, vals)
+        argmax = [int(np.argmax(amps * np.exp(sigma * t))) for t in ts[[0, -1]]] if edges else None
+    out = np.empty(ts.size)
+    out[by_time] = vals
+    return out, argmax
+
+
+def _sweep_sorted(ts, sigma, amps, floor, vals, edges):
+    """The sweep of :func:`_orbit_sweep` over the sorted times ``ts`` into ``vals``."""
+    n = sigma.size
+    # the cluster families come sorted
+    order = None
+    if (sigma[1:] < sigma[:-1]).any():
+        order = np.argsort(sigma, kind="stable")
+        sigma, amps = sigma[order], amps[order]
+    narrowed = np.zeros(ts.size, dtype=bool)
+
+    def split(i, lo, hi):
+        """Evaluate time i over modes [lo, hi); the range its ties bound, and the row."""
+        row = ts[i] * sigma[lo:hi]
+        np.exp(row, out=row)
+        row *= amps[lo:hi]
+        top = vals[i] = row.max()
+        narrowed[i] = lo > 0 or hi < n
+        if top < floor:
+            return lo, hi, row
+        tied = np.flatnonzero(row >= top * (1.0 - _TIE_REL))
+        return lo + int(tied[0]), lo + int(tied[-1]) + 1, row
+
+    last = ts.size - 1
+    lo, _, first = split(0, 0, n)
+    _, hi, latest = split(last, 0, n)
+    stack = [(1, last, lo, hi)]
+    while stack:
+        t0, t1, lo, hi = stack.pop()
+        if t0 >= t1:
+            continue
+        if (t1 - t0) * (hi - lo) <= _ORBIT_CELLS:
+            _orbit_rows(ts[t0:t1], sigma[lo:hi], amps[lo:hi], vals[t0:t1])
+            narrowed[t0:t1] = lo > 0 or hi < n
+            continue
+        mid = (t0 + t1) // 2
+        mid_lo, mid_hi, _ = split(mid, lo, hi)
+        stack.append((t0, mid, lo, mid_hi))
+        stack.append((mid + 1, t1, mid_lo, hi))
+    low = np.flatnonzero(narrowed & (vals < floor))
+    if low.size:
+        again = np.empty(low.size)
+        _orbit_rows(ts[low], sigma, amps, again)
+        vals[low] = again
+    if not edges:
+        return None
+    argmax = []
+    for i, row in ((0, first), (last, latest)):
+        tied = np.flatnonzero(row == vals[i])
+        argmax.append(int(tied[0] if order is None else order[tied].min()))
+    return argmax
 
 
 def orbit_norm(scenario: Scenario, t):
-    """Sup-norm decay profile at time(s) t.
+    """Sup-norm decay profile at time(s) t, which must be finite.
 
     For the operator orbit kinds this is the operator norm
     ``max_n |coef_n| exp(Re lambda_n t)`` (independent of x); for
-    ``vector`` it is the sup-norm of the componentwise orbit.  The times
-    are taken in blocks of rows of at most ``_ORBIT_CELLS`` cells (one row
-    per block when there are more modes), each evaluated in place in one
-    buffer, so the full times-by-modes matrix is never built.
+    ``vector`` it is the sup-norm of the componentwise orbit.  The norm
+    is the upper envelope of the lines log|w_n| + t Re lambda_n, so the
+    maximising mode's Re lambda never decreases as t grows, and a sweep
+    over the sorted times evaluates only the modes that can still attain
+    the maximum (:func:`_orbit_sweep`, which also says why its 1e-9 tie
+    margin and 1e-290 underflow floor keep every norm bitwise the maximum
+    over all modes).  The full times-by-modes matrix is never built.
     """
-    amps = _orbit_amplitudes(scenario)
-    sigma = np.ascontiguousarray(scenario.operator.eigenvalues.real)
-    arr = np.asarray(t, dtype=float)
-    flat = arr.ravel()
-    vals = np.empty(flat.size)
-    rows = max(1, _ORBIT_CELLS // sigma.size)
-    buffer = np.empty((min(rows, flat.size), sigma.size))
-    for start in range(0, flat.size, rows):
-        block = buffer[:min(rows, flat.size - start)]
-        np.multiply(flat[start:start + rows, None], sigma, out=block)
-        np.exp(block, out=block)
-        block *= amps
-        block.max(axis=1, out=vals[start:start + rows])
+    arr = _finite_times(t)
+    vals, _ = _orbit_sweep(scenario, arr.ravel())
     return float(vals[0]) if arr.ndim == 0 else vals.reshape(arr.shape)
 
 
 def orbit_argmax(scenario: Scenario, t: float) -> tuple[float, int, int]:
-    """Orbit norm at t with the maximising mode's family index and size."""
+    """Orbit norm at the finite time t with the maximising mode's family index and size."""
+    t = float(_finite_times(t))
     amps = _orbit_amplitudes(scenario)
     sigma = scenario.operator.eigenvalues.real
-    profile = amps * np.exp(sigma * float(t))
+    profile = amps * np.exp(sigma * t)
     idx = int(np.argmax(profile))
     return (float(profile[idx]),
             int(scenario.operator.family_index[idx]),
@@ -273,8 +404,12 @@ def _folded_spectrum(operator: DiagonalOperator) -> tuple[np.ndarray, np.ndarray
     one of the two signs, so the folded points carry both half-axes.
     """
     lam = operator.eigenvalues
-    order = np.argsort(np.abs(lam.imag), kind="stable")
-    return np.abs(lam.imag)[order], np.abs(lam.real)[order]
+    ordinates, damping = np.abs(lam.imag), np.abs(lam.real)
+    # a stable sort leaves sorted ordinates, as cluster_infinity has them, in place
+    if (ordinates[1:] < ordinates[:-1]).any():
+        order = np.argsort(ordinates, kind="stable")
+        ordinates, damping = ordinates[order], damping[order]
+    return ordinates, damping
 
 
 def _padded_spectrum(ordinates: np.ndarray, damping: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -287,8 +422,8 @@ def _padded_spectrum(ordinates: np.ndarray, damping: np.ndarray) -> tuple[np.nda
     row wide.
     """
     pad = np.full(_PAD, np.nan)
-    return (np.concatenate([pad, ordinates, pad]),
-            np.concatenate([pad, damping ** 2, pad]))
+    damping2 = np.concatenate([pad, damping, pad])
+    return np.concatenate([pad, ordinates, pad]), np.square(damping2, out=damping2)
 
 
 def _resolvent_peak(padded: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
@@ -305,14 +440,15 @@ def _resolvent_peak(padded: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.
     window_ordinates, window_damping2 = padded
     ordinates = window_ordinates[_PAD:-_PAD]
     damping2 = window_damping2[_PAD:-_PAD]
-    j = np.searchsorted(ordinates, x)
-    near = j[:, None] + _WINDOW
-    d2 = x[:, None] - window_ordinates[near]
+    j = ordinates.searchsorted(x)[:, None]
+    # the window's ordinates with the one just outside it on each side
+    outer = window_ordinates[j + _OUTER]
+    d2 = x[:, None] - outer[:, 1:-1]
     d2 *= d2
-    d2 += window_damping2[near]
-    reach = np.minimum(np.sqrt(np.fmin.reduce(d2, axis=1)), 1.0)
-    wide = np.flatnonzero((window_ordinates[j] >= x - reach)
-                          | (window_ordinates[j + 2 * _PAD - 1] <= x + reach))
+    d2 += window_damping2[j + _WINDOW]
+    reach = np.sqrt(np.fmin.reduce(d2, axis=1))
+    np.minimum(reach, 1.0, out=reach)
+    wide = ((outer[:, 0] >= x - reach) | (outer[:, -1] <= x + reach)).nonzero()[0]
     if wide.size:
         x_wide, reach_wide = x[wide], reach[wide]
         lo = np.searchsorted(ordinates, x_wide - reach_wide)
@@ -321,7 +457,7 @@ def _resolvent_peak(padded: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.
         cols = np.arange(int(counts.sum())) + np.repeat(lo - starts, counts)
         d2 = damping2[cols] + (np.repeat(x_wide, counts) - ordinates[cols]) ** 2
         reach[wide] = np.minimum(np.sqrt(np.minimum.reduceat(d2, starts)), 1.0)
-    return 1.0 / reach
+    return np.divide(1.0, reach, out=reach)
 
 
 def resolvent_envelope_growth(
@@ -343,15 +479,18 @@ def resolvent_envelope_growth(
     ordinates, damping = _folded_spectrum(operator)
     padded = _padded_spectrum(ordinates, damping)
     s_min = float(s_min)
-    keep = ordinates >= s_min
-    peaks_at = ordinates[keep]
+    # the peaks with ordinate >= s_min, a suffix of the sorted ordinates
+    peaks_at = ordinates[ordinates.searchsorted(s_min):]
     # the norm at s_min joins every prefix maximum of the peaks
     floor = _resolvent_peak(padded, np.array([s_min]))
-    highest = np.maximum(floor, np.maximum.accumulate(np.concatenate([[1.0], 1.0 / damping[keep]])))
+    highest = np.empty(peaks_at.size + 1)
+    highest[0] = 1.0
+    np.divide(1.0, damping[damping.size - peaks_at.size:], out=highest[1:])
+    np.maximum(floor, np.maximum.accumulate(highest, out=highest), out=highest)
 
     def evaluate(R: np.ndarray) -> np.ndarray:
         R = np.maximum(R, s_min)
-        return np.maximum(highest[np.searchsorted(peaks_at, R, "right")], _resolvent_peak(padded, R))
+        return np.maximum(highest[peaks_at.searchsorted(R, "right")], _resolvent_peak(padded, R))
 
     return MonotoneFunction("growth", evaluate,
                             f"resolvent growth[{operator.size} modes, |s| >= {s_min:g}]")
@@ -370,15 +509,18 @@ def resolvent_envelope_decay(
     """
     ordinates, damping = _folded_spectrum(operator)
     padded = _padded_spectrum(ordinates, damping)
-    keep = ordinates <= 1.0
-    peaks_at = ordinates[keep]
+    # the peaks with ordinate <= 1, a prefix of the sorted ordinates
+    peaks_at = ordinates[:ordinates.searchsorted(1.0, "right")]
     # the norm at 1 joins every suffix maximum of the peaks
     floor = _resolvent_peak(padded, np.array([1.0]))
-    highest = np.maximum(
-        floor, np.maximum.accumulate(np.concatenate([1.0 / damping[keep], [1.0]])[::-1])[::-1])
+    highest = np.empty(peaks_at.size + 1)
+    highest[-1] = 1.0
+    np.divide(1.0, damping[:peaks_at.size], out=highest[:-1])
+    np.maximum.accumulate(highest[::-1], out=highest[::-1])
+    np.maximum(floor, highest, out=highest)
 
     def evaluate(r: np.ndarray) -> np.ndarray:
-        peak = np.maximum(highest[np.searchsorted(peaks_at, r, "left")], _resolvent_peak(padded, r))
+        peak = np.maximum(highest[peaks_at.searchsorted(r, "left")], _resolvent_peak(padded, r))
         return np.maximum(peak, 1.0 / r)
 
     return MonotoneFunction("decay", evaluate,

@@ -43,12 +43,13 @@ from .quadrature import NonConvergenceError, QuadratureSpec, integrate
 from .rate_functions import make_bound
 from .semigroup_lab import (
     Scenario,
+    _orbit_sweep,
     mode_weights,
-    orbit_argmax,
-    orbit_norm,
     resolvent_envelope_decay,
     resolvent_envelope_growth,
 )
+# bound by name for bench/tracing.py, which wraps them in verify
+from .semigroup_lab import orbit_argmax, orbit_norm  # noqa: F401
 
 __all__ = [
     "ExperimentReport",
@@ -444,19 +445,22 @@ def compare_decay(
         raise ValueError(
             f"t_grid starts below the bound's validity threshold {bound.t_min:.6g}"
         )
+    # positive, as it starts at or above t_min
+    if not (t_grid.ndim == 1 and np.isfinite(t_grid).all() and (np.diff(t_grid) > 0.0).all()):
+        raise ValueError("t_grid must be finite, positive and strictly increasing")
     if t_grid[-1] < 100.0 * t_grid[0]:
         raise ValueError(
             "t_grid must span at least two decades so the first- and"
             " last-decade ratio statistics do not overlap"
         )
-    for t_edge in (t_grid[0], t_grid[-1]):
-        _, idx, size = orbit_argmax(scenario, t_edge)
+    measured, edge_modes = _orbit_sweep(scenario, t_grid, edges=True)
+    for t_edge, mode in zip((t_grid[0], t_grid[-1]), edge_modes):
+        idx, size = int(op.family_index[mode]), int(op.family_size[mode])
         if size >= 4 and idx > size // 2:
             raise TruncationRangeError(
                 f"maximising mode {idx} of {size} at t={t_edge:g} sits in the"
                 " truncated half of its family"
             )
-    measured = orbit_norm(scenario, t_grid)
     bvals = bound(t_grid)
     ratio = measured / bvals
     rows = [(float(t), float(m), float(b), float(r))

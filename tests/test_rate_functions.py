@@ -134,6 +134,20 @@ class TestDomainsAndValidation:
         with pytest.raises(ValueError, match=r"\(0, 1\]"):
             m(np.array([0.5, math.nan]))
 
+    @pytest.mark.parametrize("source", [MonotoneFunction.power_growth(1.0),
+                                        MonotoneFunction.power_decay(1.0)])
+    @pytest.mark.parametrize("k", [None, 2])
+    def test_composition_raises_the_source_domain_errors(self, source, k):
+        composed = ComposedRate(source, k)
+        for x in (-1.0, 0.0, 1.5, math.nan, np.array([0.5, math.nan])):
+            try:
+                source(x)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    composed(x)
+            else:
+                composed(x)
+
     def test_values_must_reach_one(self):
         with pytest.raises(ValueError, match="at least 1"):
             MonotoneFunction.constant_growth(0.5)
@@ -300,6 +314,14 @@ class TestBounds:
         assert bound.t_min == pytest.approx(16.0, rel=1e-12)
         with pytest.raises(BoundDomainError):
             bound(bound.t_min / 2.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_is_named(self, bad):
+        bound = make_bound("zero_infinity_ck", growth=MonotoneFunction.power_growth(1.0),
+                           decay=MonotoneFunction.power_decay(1.0), k=1)
+        for t in (bad, np.array([2.0 * bound.t_min, bad])):
+            with pytest.raises(ValueError, match="t must be finite"):
+                bound.evaluate(t)
 
     def test_positive_and_non_increasing(self):
         growth = MonotoneFunction.power_growth(1.0)

@@ -16,6 +16,7 @@ from ingham_rates.semigroup_lab import (
     Scenario,
     _folded_spectrum,
     _orbit_amplitudes,
+    _orbit_sweep,
     _padded_spectrum,
     _resolvent_peak,
     boundary_function,
@@ -364,6 +365,35 @@ class TestOrbitNormMatchesReference:
             sc = Scenario(cluster_infinity(1.0, n), "ainv")
             _assert_bitwise(orbit_norm(sc, t), _reference_orbit_norm(sc, t))
 
+    @given(kind=st.sampled_from(ORBIT_KINDS),
+           n=st.sampled_from([1, 3, 40, 2000, _ORBIT_CELLS + 5]),
+           copies=st.sampled_from([1, 2]),
+           levels=st.sampled_from([None, 3]),
+           seed=st.integers(0, 2**32 - 1),
+           times=st.lists(st.sampled_from([0.0, -0.0, -100.0, -2.5, 0.3, 7.0, 80.0, 1e3, 2e4])
+                          | st.floats(-5.0, 1e4), max_size=45),
+           shape=st.sampled_from(["flat", "2d", "scalar"]))
+    @settings(max_examples=150, deadline=None)
+    def test_sweep_matches_reference(self, kind, n, copies, levels, seed, times, shape):
+        # the sweep runs wherever times x modes exceeds _ORBIT_CELLS;
+        # exactly duplicated modes tie at every time, repeated Re lambda
+        # only in damping, and overflowing exps (negative times) with
+        # zero entries of x make NaN cells, which the unsorted route keeps
+        rng = np.random.default_rng(seed)
+        re = -(10.0 ** rng.uniform(-3.0, 1.0, n))
+        if levels is not None:
+            re = rng.choice(re[:levels], n)
+        lam = np.tile(re + 1j * rng.normal(size=n), copies)
+        x = np.tile(rng.normal(size=n) * (rng.random(n) < 0.7), copies)
+        sc = Scenario(DiagonalOperator(lam), kind, omega=2.5, x=x)
+        t = np.array(times)
+        if shape == "2d" and t.size % 3 == 0:
+            t = t.reshape(3, -1)
+        elif shape == "scalar" and t.size:
+            t = t[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            _assert_bitwise(orbit_norm(sc, t), _reference_orbit_norm(sc, t))
+
     def test_memory_stays_bounded(self):
         # the full 61 x 40000 matrix and its exponential take 39 MB
         sc = Scenario(cluster_infinity(1.0, 40000), "ainv")
@@ -375,6 +405,89 @@ class TestOrbitNormMatchesReference:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 2**20
+
+
+class TestOrbitSweep:
+    @pytest.mark.parametrize("kind", ORBIT_KINDS)
+    def test_edge_maximisers_equal_orbit_argmax(self, kind):
+        # two copies of a mixed cluster: every maximum is tied between the
+        # copies (and between the families' first modes, which coincide),
+        # and np.argmax takes the first; the second copy's families are
+        # numbered and sized apart from the first's
+        op = mixed_cluster(1.0, 2.0, 3000, 600)
+        twice = DiagonalOperator(
+            np.tile(op.eigenvalues, 2),
+            family_index=np.concatenate([op.family_index, op.family_index + 1]),
+            family_size=np.concatenate([op.family_size, op.family_size + 1]))
+        x = np.random.default_rng(3).normal(size=op.size)
+        sc = Scenario(twice, kind, x=np.tile(x, 2))
+        for t in (np.geomspace(1e-2, 1e4, 41), np.array([0.0, 5.0]), np.array([3.0])):
+            _, modes = _orbit_sweep(sc, t, edges=True)
+            for t_edge, mode in zip((t[0], t[-1]), modes):
+                _, idx, size = orbit_argmax(sc, t_edge)
+                assert (int(twice.family_index[mode]), int(twice.family_size[mode])) == (idx, size)
+
+    def test_modes_tied_within_rounding_stay_on_both_sides(self):
+        # the two live modes cross at tc, where rounding alone decides
+        # which is larger, time by time; a split there must keep both
+        tc, sigma = 6.402234102518031, np.array([-1.130035444452298, -1.1266640410881095])
+        re = np.concatenate([np.linspace(-2.5, -2.0, 2998), sigma])
+        x = np.concatenate([np.zeros(2998), np.exp(-sigma * tc)])
+        sc = Scenario(DiagonalOperator(re + 1j), "vector", x=x)
+        t = tc * (1.0 + np.arange(-30, 30) * 2.2e-16)
+        _assert_bitwise(orbit_norm(sc, t), _reference_orbit_norm(sc, t))
+
+    def test_norms_near_underflow_are_evaluated_over_all_modes(self):
+        # the first row narrows the later times to the less damped live
+        # mode, which exact arithmetic keeps on top; at t = 744.8 both
+        # products are subnormal and rounding puts the dropped one above
+        re = np.concatenate([np.linspace(-3.0, -2.0, 2998), [-1.0002894279349282436, -1.0]])
+        x = np.concatenate([np.zeros(2998), [96866.87193782, 96838.86239011]])
+        sc = Scenario(DiagonalOperator(re + 1j), "vector", x=x)
+        t = np.concatenate([[1.0, 744.8083533877623], np.linspace(745.0, 800.0, 28)])
+        _assert_bitwise(orbit_norm(sc, t), _reference_orbit_norm(sc, t))
+
+    def test_rows_near_underflow_do_not_narrow(self):
+        # five live modes whose products are about 1e-280 at t = 400, far
+        # below 1e-290 times the largest amplitude: their subnormal
+        # exponentials carry too few bits to say which one is on top
+        sigma = np.array([-1.8403110671961174, -1.817911859453735, -1.8013541778846744,
+                          -1.7984625570440602, -1.7844503932937437])
+        amps = np.array([6.907403897816848e+38, 8.875113641998851e+34, 1.1798044428860169e+32,
+                         3.7109408955428176e+31, 1.3655948769440426e+29])
+        re = np.concatenate([np.linspace(-2.5, -2.0, 2995), sigma])
+        sc = Scenario(DiagonalOperator(re + 1j), "vector", x=np.concatenate([np.zeros(2995), amps]))
+        t = 400.0 * (1.0 + np.arange(-40, 40) * 2.2e-13)
+        _assert_bitwise(orbit_norm(sc, t), _reference_orbit_norm(sc, t))
+
+    def test_sweep_evaluates_few_cells(self):
+        # the maximiser of cluster_infinity(1) at t sits near mode t, so
+        # the latest row bounds every earlier one near mode 10^4
+        sc = Scenario(cluster_infinity(1.0, 40000), "ainv")
+        t = np.geomspace(10.0, 1e4, 61)
+        exps = []
+        real_exp = np.exp
+
+        def counted(x, *args, **kwargs):
+            exps.append(np.size(x))
+            return real_exp(x, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "exp", counted)
+            orbit_norm(sc, t)
+        assert sum(exps) < 61 * 40000 // 10
+
+
+class TestNonFiniteTimes:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_orbit_functions_name_t(self, bad):
+        sc = Scenario(cluster_zero(2.0, 50), "ar_omega")
+        with pytest.raises(ValueError, match="t must be finite"):
+            orbit_norm(sc, bad)
+        with pytest.raises(ValueError, match="t must be finite"):
+            orbit_norm(sc, np.array([1.0, bad]))
+        with pytest.raises(ValueError, match="t must be finite"):
+            orbit_argmax(sc, bad)
 
 
 def _reference_resolvent_peak(ordinates, damping, x):

@@ -607,6 +607,26 @@ class TestCompareDecay:
             compare_decay(scenario, "infinity_smooth", c=0.45,
                           t_grid=np.geomspace(10.0, 40.0, 21))
 
+    @pytest.mark.parametrize("grid", [
+        np.geomspace(10.0, 1e4, 41)[::-1],                       # decreasing
+        np.concatenate([[10.0, 10.0], np.geomspace(20.0, 1e4, 39)]),  # repeated
+        np.concatenate([np.geomspace(10.0, 1e4, 40), [math.nan]]),
+        np.concatenate([np.geomspace(10.0, 1e4, 40), [math.inf]]),
+        np.concatenate([[10.0, math.nan], np.geomspace(20.0, 1e4, 39)]),
+    ])
+    def test_grid_must_be_finite_and_strictly_increasing(self, grid):
+        # an unsorted grid would swap the first- and last-decade statistics
+        # and the truncation edges
+        scenario = Scenario(cluster_infinity(1.0, 40000), "ainv")
+        with pytest.raises(ValueError, match="finite, positive and strictly increasing"):
+            compare_decay(scenario, "infinity_smooth", c=0.45, t_grid=grid)
+
+    def test_grid_at_or_below_zero_is_below_the_validity_threshold(self):
+        scenario = Scenario(cluster_infinity(1.0, 2000), "ainv")
+        with pytest.raises(ValueError, match="validity threshold"):
+            compare_decay(scenario, "infinity_smooth", c=0.45,
+                          t_grid=np.linspace(-10.0, 1e4, 41))
+
     def test_truncated_family_maximiser_rejected(self):
         # at t = 10^3 the maximising mode of a 20-mode family sits at the
         # truncation edge, which would bias the fitted slope

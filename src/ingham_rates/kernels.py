@@ -52,12 +52,10 @@ __all__ = [
 
 
 # below this |t| the time profile is its Taylor series, with this many
-# terms; pieces whose terms go beyond t^-3 cancel to O(1) far beyond 1e-4,
-# so they switch at |t| = 3, where 24 terms reach rounding
-_TAYLOR_RADIUS = 1e-4
-_TAYLOR_TERMS = 6
-_DEEP_TAYLOR_RADIUS = 3.0
-_DEEP_TAYLOR_TERMS = 24
+# terms: the breakpoint terms cancel as t -> 0, the bump's t^-6 ones to
+# O(1) out to |t| = 3, and 24 terms reach rounding there
+_TAYLOR_RADIUS = 3.0
+_TAYLOR_TERMS = 24
 _TRIG = {"cos": np.cos, "sin": np.sin}
 
 
@@ -68,8 +66,8 @@ _SERIES_RADIUS = 40.0  # |z| from which e^z E1(z) is summed asymptotically
 _SERIES_TERMS = 40
 # near the cut the asymptotic series misses the term i pi e^z and, cut at
 # 40 terms, is off by about 40!/|z|^41; against R_5 ~ 5!/z^6 both reach
-# 1e-10 at |z| = 40 and fall below 1e-16 at |z| = 60, where remainders
-# beyond R_2 switch to it
+# 1e-10 at |z| = 40 and fall below 1e-16 at |z| = 60, where sums with a
+# remainder beyond R_2 switch to it
 _DEEP_SERIES_RADIUS = 60.0
 # the continued fraction for e^z E1(z) takes, on each band of |z| from
 # [4, 12) to [32, 40), the depth that brings it to about 1e-15 on
@@ -77,10 +75,6 @@ _DEEP_SERIES_RADIUS = 60.0
 # 4 (n - 1) levels more for the same
 _FRACTION_EDGES = np.array([12.0, 16.0, 24.0, 32.0])
 _FRACTION_DEPTHS = np.array([50, 38, 28, 18, 12])
-# remainders R_k below this k are G minus k terms, which costs up to
-# |x|^k / k! of G's precision (800 at k = 2, |x| = 40); deeper ones are
-# evaluated directly from e^x E_{k+1}(x)
-_SUBTRACTED_TERMS = 3
 
 
 def _g_near(x: np.ndarray, n: int = 1) -> np.ndarray:
@@ -126,7 +120,10 @@ def _g_near(x: np.ndarray, n: int = 1) -> np.ndarray:
     tail = np.empty_like(rest)
     step = _CHUNK // k.size
     for i in range(0, rest.size, step):  # terms (-x)^k / k! as one running product
-        tail[i:i + step] = np.cumprod(-rest[i:i + step, None] / k, axis=1) @ weights
+        # einsum sums each row alike however many rows there are, so a point
+        # alone gets the bits it gets in a batch; a matrix product need not
+        tail[i:i + step] = np.einsum("ij,j->i", np.cumprod(-rest[i:i + step, None] / k, axis=1),
+                                     weights)
     if n == 1:
         g[~frac] = np.exp(rest) * (-np.euler_gamma - np.log(rest) - tail)
     else:
@@ -136,90 +133,43 @@ def _g_near(x: np.ndarray, n: int = 1) -> np.ndarray:
     return g
 
 
-def _jump_terms(x: np.ndarray, w: np.ndarray, q, taylor: np.ndarray) -> np.ndarray:
-    """sum_k taylor[k] w^k R_k(x) with R_k(x) = G(x) - sum_{n<k} (-1)^n n! / x^{n+1}.
+def _jump_terms(x: np.ndarray, q, taylor: np.ndarray) -> np.ndarray:
+    """sum_k taylor[k] k! (-q)^k H_k(x) with H_k(x) = e^x E_{k+1}(x), principal branch.
 
-    G(z) = e^z E1(z) on the principal branch; R_k is the remainder of its
-    asymptotic series after k terms and x = i t w, so w/x = q = -i/t; ``w``
-    and ``q`` broadcast against x (a column of modes, a row of times or a
-    scalar).  Below |x| = 40, G comes from :func:`_g_near`.  For k below
-    ``_SUBTRACTED_TERMS`` (k <= 2) the k subtracted terms are written as
-    w^{k-1-n} q^{n+1}, so w^k R_k is w^k G minus q or minus w q - q^2,
-    which stays finite as x -> 0; deeper ones take
-    w^k R_k = k! (-q)^k G_{k+1}(x), since E_{k+1} = (e^{-x} - x E_k) / k,
-    and then hold the switch to |x| = 60.  Beyond, the series is summed
-    from term k on:
-    w^k R_k = y k! (-q)^k T_k(y) with y = 1/x and T_k = 1 - (k+1) y T_{k+1},
-    so nothing cancels, as it would in G minus its first k terms.  Only
-    the terms with taylor[k] != 0 are evaluated, in both branches.
+    For x = i t w and q = w/x = -i/t this is sum_k taylor[k] w^k R_k(x),
+    R_k the remainder of the asymptotic series of G(x) = e^x E1(x) after k
+    terms, since E_{k+1} = (e^{-x} - x E_k) / k; written through H_k,
+    nothing cancels, as it would in G minus its first k terms.  ``q``
+    broadcasts against x (a row of times against a column of modes, or a
+    scalar).  Below |x| = 40, or 60 when a remainder beyond R_2 is taken,
+    H_k comes from :func:`_g_near`; beyond, from the series
+    H_k = y T_k(y) with y = 1/x and T_k = 1 - (k+1) y T_{k+1}.  Each k
+    with taylor[k] != 0, and only those, takes one coefficient
+    taylor[k] k! (-q)^k, shared by both branches.
     """
-    terms = [(k, d) for k, d in enumerate(taylor) if d != 0.0]
-    if not terms:
-        return np.zeros(x.shape, dtype=complex)
-    out = np.empty(x.shape, dtype=complex)
-    deep = taylor.size > _SUBTRACTED_TERMS
-    near = np.abs(x) < (_DEEP_SERIES_RADIUS if deep else _SERIES_RADIUS)
-    q = np.broadcast_to(q, x.shape)
-    n_near = np.count_nonzero(near)
-    if n_near:
-        out[near] = _near_sum(x[near], np.broadcast_to(w, x.shape)[near], q[near], terms)
-    if n_near < near.size:
-        far = ~near
-        out[far] = _far_sum(x[far], q[far], terms)
-    return out
-
-
-def _near_sum(x: np.ndarray, w: np.ndarray, q: np.ndarray, terms: list) -> np.ndarray:
-    """sum of d w^k R_k(x) over ``terms``, [(k, d), ...] with k ascending, below the switch."""
-    g = acc = None
-    for k, d in terms:
-        if k < _SUBTRACTED_TERMS:
-            g = _g_near(x) if g is None else g
-            if k == 0:
-                part = g.copy()
-            elif k == 1:
-                part = w * g
-                part -= q
-            else:
-                part = w ** 2 * g
-                part -= w * q
-                part += q ** 2
-        else:
-            part = math.factorial(k) * (-q) ** k * _g_near(x, k + 1)
-        np.multiply(d, part, out=part)
-        if acc is None:
-            acc = part
-        else:
-            acc += part
-    return acc
-
-
-def _far_sum(x: np.ndarray, q: np.ndarray, terms: list) -> np.ndarray:
-    """sum of d w^k R_k(x) over ``terms``, [(k, d), ...] with k ascending, beyond the switch."""
-    y = 1.0 / x
-    tk = np.ones(y.shape, dtype=complex)
-    lowest, higher = terms[0][0], {k for k, _ in terms[1:]}
+    ks = np.flatnonzero(taylor).tolist()
+    near = np.abs(x) < (_SERIES_RADIUS if taylor.size <= 3 else _DEEP_SERIES_RADIUS)
+    far = ~near
+    xn, y = x[near], 1.0 / x[far]
     series = {}
-    for n in range(_SERIES_TERMS - 1, lowest, -1):  # T_{n-1} = 1 - n y T_n, in place
+    tk = np.ones(y.shape, dtype=complex)
+    for n in range(_SERIES_TERMS - 1, ks[0], -1):  # T_{n-1} = 1 - n y T_n, in place
         tk *= y
         tk *= -n
         tk += 1.0
-        if n - 1 in higher:
-            series[n - 1] = tk.copy()
-    series[lowest] = tk
-    # (-1)^k goes into the coefficient, so q is not negated, and q itself
-    # stands for q**1, which runs numpy's slow general power loop.  Rounding
-    # is symmetric in sign, so only the sign of a zero could change; the
-    # reference test in tests/test_verify.py checks those on the cut
-    acc = None
-    for k, d in terms:
-        term = d * math.factorial(k) * (-1) ** k * (q if k == 1 else q ** k)
-        term *= series[k]
-        if acc is None:
-            acc = term
-        else:
-            acc += term
-    return np.multiply(y, acc, out=acc)
+        if n - 1 in ks:
+            series[n - 1] = y * tk
+    out = np.zeros(x.shape, dtype=complex)
+    h = np.empty(x.shape, dtype=complex)
+    for k in ks:
+        h[near] = _g_near(xn, k + 1)
+        h[far] = series[k]
+        # (-1)^k goes into the float factor, and k = 1 takes q itself:
+        # q**1 runs numpy's slow general power loop
+        coef = taylor[k] * math.factorial(k) * (-1) ** k
+        h *= coef * (1.0 if k == 0 else q if k == 1 else q ** k)
+        out += h
+    return out
 
 
 def _piecewise_freq(pieces: tuple) -> Callable[[np.ndarray], np.ndarray]:
@@ -279,8 +229,8 @@ class Kernel:
     of s (psi vanishes beyond the last piece).  ``complement`` holds what
     :func:`_complement_pieces` derives from it for the defect engine,
     ``_components`` the trigonometric terms of the time profile and
-    ``_series`` its small-|t| switch: ``(radius, coefficients of pi phi
-    in powers of t^2)``.
+    ``_series`` the coefficients of pi phi in powers of t^2, which take
+    over below |t| = ``_TAYLOR_RADIUS``.
     """
 
     name: str
@@ -321,9 +271,8 @@ def _piecewise_kernel(name: str, pieces: tuple) -> Kernel:
     terms also give ``_components``.  Near t = 0, where they cancel, phi is
     the series ``(1/pi) sum_n (-1)^n m_2n t^2n / (2n)!`` with the moments
     ``m_j = int_0^1 psi(s) s^j ds`` summed as exact rationals, so each
-    coefficient is rounded once.  Terms up to t^-3, as in tent and fudge,
-    switch to it below |t| = 1e-4 with 6 terms; deeper ones, as in the
-    bump's t^-6, below |t| = 3 with 24.  Results are cached.
+    coefficient is rounded once; every kernel switches to its 24 terms
+    below |t| = 3, each point taking one form only.  Results are cached.
     """
     breaks, polys, jumps = _complement_pieces(pieces)
     terms = []  # (a, trig, c, power): c ascending, then derivative order descending
@@ -333,8 +282,6 @@ def _piecewise_kernel(name: str, pieces: tuple) -> Kernel:
                 a = (-1) ** (k // 2 + 1) * math.factorial(k) * float(taylor[k])
                 terms.append((0.5 * a if c == 0.0 else a, "cos" if k % 2 else "sin", c, k + 1))
     p_min = min(p for *_, p in terms)
-    radius, n_terms = ((_DEEP_TAYLOR_RADIUS, _DEEP_TAYLOR_TERMS)
-                       if max(p for *_, p in terms) > 3 else (_TAYLOR_RADIUS, _TAYLOR_TERMS))
     # imported here, so that processes which build no kernel skip it
     from fractions import Fraction
 
@@ -342,22 +289,28 @@ def _piecewise_kernel(name: str, pieces: tuple) -> Kernel:
         return sum(Fraction(c) * (Fraction(hi) ** (j + i + 1) - Fraction(lo) ** (j + i + 1))
                    / (j + i + 1) for lo, hi, coeffs in pieces for i, c in enumerate(coeffs))
     series = [float((-1) ** n * moment(2 * n) / math.factorial(2 * n))
-              for n in range(n_terms)]
+              for n in range(_TAYLOR_TERMS)]
 
     def time_eval(t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        small = np.abs(t) < radius
-        safe = np.where(small, 1.0, t)
-        out = 0.0
-        for a, trig, c, p in terms:
-            term = a * _TRIG[trig](c * safe)
-            out = out + (term / safe ** (p - p_min) if p > p_min else term)
-        out = out / safe ** p_min
-        if small.any():  # Horner in t^2
-            t2, near = t * t, np.full_like(t, series[-1])
+        small = np.abs(t) < _TAYLOR_RADIUS
+        n_small = np.count_nonzero(small)
+        out = np.empty(t.shape)
+        if n_small < small.size:
+            big = t[~small] if n_small else t
+            trig_form = 0.0
+            for a, trig, c, p in terms:
+                term = a * _TRIG[trig](c * big)
+                trig_form = trig_form + (term / big ** (p - p_min) if p > p_min else term)
+            out[~small] = trig_form / big ** p_min
+        if n_small:  # Horner in t^2
+            t2 = t[small]
+            t2 *= t2
+            near = np.full_like(t2, series[-1])
             for coef in series[-2::-1]:
-                near = near * t2 + coef
-            out = np.where(small, near, out)
+                near *= t2
+                near += coef
+            out[small] = near
         return (1.0 / math.pi) * out
 
     return Kernel(
@@ -368,7 +321,7 @@ def _piecewise_kernel(name: str, pieces: tuple) -> Kernel:
         freq_pieces=pieces,
         complement=(breaks, polys, jumps),
         _components=tuple((a / math.pi, trig, c, p) for a, trig, c, p in terms),
-        _series=(radius, tuple(series)),
+        _series=tuple(series),
     )
 
 
@@ -409,8 +362,8 @@ def _component_tails(rows, t_from: float) -> np.ndarray:
     ``rows`` holds ``(coef, trig, freq, power)`` tuples.  With a = t_from,
     ``int_a^inf e^{i|f|u} u^-p du = e^{i|f|a} (i|f|)^{p-1} R_{p-1}(-i|f|a) / (p-1)!``
     with R_k as in :func:`_jump_terms`, whose one call per power p takes
-    all oscillating rows: w = -|f|, x = i a w, the scalar q = -i/a and the
-    unit vector e_{p-1}.
+    all oscillating rows: x = -i|f|a, the scalar q = -i/a and the unit
+    vector e_{p-1}.
     cos takes the real part; sin, odd in f, sign(f) times the imaginary part.
     """
     out = np.zeros(len(rows))
@@ -423,9 +376,8 @@ def _component_tails(rows, t_from: float) -> np.ndarray:
     coefs, freqs = (np.array([row[j] for row in rows], dtype=float) for j in (0, 2))
     is_cos = np.array([row[1] == "cos" for row in rows])
     for p, idx in osc.items():
-        w = -np.abs(freqs[idx])
-        x = 1j * (t_from * w)
-        tail = _jump_terms(x, w, -1j / t_from, np.eye(p)[p - 1])
+        x = 1j * (t_from * -np.abs(freqs[idx]))
+        tail = _jump_terms(x, -1j / t_from, np.eye(p)[p - 1])
         tail *= np.exp(-x) * ((-1j) ** (p - 1) / math.factorial(p - 1))
         out[idx] = coefs[idx] * np.where(is_cos[idx], tail.real, np.sign(freqs[idx]) * tail.imag)
     return out
@@ -441,10 +393,9 @@ def tail_integral(kernel: Kernel, t: float) -> float:
     """
     if not t > 0.0:
         raise ValueError("tail integral requires t > 0")
-    radius, series = kernel._series
-    if t < radius:
+    if t < _TAYLOR_RADIUS:
         return 0.5 - math.fsum(c * t ** (2 * n + 1) / (2 * n + 1)
-                               for n, c in enumerate(series)) / math.pi
+                               for n, c in enumerate(kernel._series)) / math.pi
     return math.fsum(_component_tails(kernel._components, t).tolist())
 
 

@@ -211,11 +211,13 @@ def _orbit_amplitudes(scenario: Scenario) -> np.ndarray:
     return np.abs(np.divide(lam, d, out=d))
 
 
-def _finite_times(t) -> np.ndarray:
-    """t as a float array, rejecting NaN and +-inf by name."""
+def _orbit_times(t) -> np.ndarray:
+    """t as a float array, rejecting NaN, +-inf and t < 0 by name."""
     arr = np.asarray(t, dtype=float)
     if not np.isfinite(arr).all():
         raise ValueError("t must be finite")
+    if (arr < 0.0).any():
+        raise ValueError("t must be non-negative: the semigroup is defined for t >= 0")
     return arr
 
 
@@ -236,7 +238,7 @@ def _orbit_rows(times: np.ndarray, sigma: np.ndarray, amps: np.ndarray, out: np.
 
 
 def _orbit_sweep(scenario: Scenario, times: np.ndarray, edges: bool = False):
-    """Orbit norms at the finite 1-d ``times`` by a sweep along the maximiser.
+    """Orbit norms at the finite, non-negative 1-d ``times`` by a sweep along the maximiser.
 
     The norm is the upper envelope of the lines log|w_n| + t Re lambda_n,
     so the maximising mode's Re lambda never decreases as t grows.  With
@@ -257,10 +259,10 @@ def _orbit_sweep(scenario: Scenario, times: np.ndarray, edges: bool = False):
     ``_ORBIT_CELLS`` cells is evaluated directly.  Each kept cell is
     computed by the same operations as in the full matrix, so each norm is
     bitwise its maximum over all modes.  The sweep needs every cell finite
-    (no overflowing exp, so no 0 * inf), which holds when A exp(t Re
-    lambda) is finite at the earliest time and most damped mode; otherwise,
-    and when all cells fit in one block, the modes are evaluated unsorted
-    in blocks, since which NaN a maximum returns depends on their order.
+    (no inf * 0), which holds when A is finite, since no exponential
+    exceeds 1; otherwise, and when all cells fit in one block, the modes
+    are evaluated unsorted in blocks, since which NaN a maximum returns
+    depends on their order.
 
     Returns the norms in the order of ``times`` and, when ``edges`` is
     set, the index in the operator of the maximising mode at the earliest
@@ -274,10 +276,9 @@ def _orbit_sweep(scenario: Scenario, times: np.ndarray, edges: bool = False):
     vals = np.empty(ts.size)
     top_amp = amps.max()
     floor = _UNDERFLOW * top_amp
-    # no cell exceeds top_amp exp(t Re lambda) at the earliest time and
-    # most damped mode, or top_amp when that time is not negative
+    # no cell exceeds top_amp, as t >= 0 and Re lambda < 0
     if (ts.size * sigma.size > _ORBIT_CELLS and floor >= np.finfo(float).tiny
-            and np.isfinite(top_amp * np.exp(min(ts[0], 0.0) * sigma.min(keepdims=True))).all()):
+            and np.isfinite(top_amp)):
         argmax = _sweep_sorted(ts, sigma, amps, floor, vals, edges)
     else:
         _orbit_rows(ts, np.ascontiguousarray(sigma), amps, vals)
@@ -340,7 +341,7 @@ def _sweep_sorted(ts, sigma, amps, floor, vals, edges):
 
 
 def orbit_norm(scenario: Scenario, t):
-    """Sup-norm decay profile at time(s) t, which must be finite.
+    """Sup-norm decay profile at time(s) t, which must be finite and non-negative.
 
     For the operator orbit kinds this is the operator norm
     ``max_n |coef_n| exp(Re lambda_n t)`` (independent of x); for
@@ -352,14 +353,14 @@ def orbit_norm(scenario: Scenario, t):
     margin and 1e-290 underflow floor keep every norm bitwise the maximum
     over all modes).  The full times-by-modes matrix is never built.
     """
-    arr = _finite_times(t)
+    arr = _orbit_times(t)
     vals, _ = _orbit_sweep(scenario, arr.ravel())
     return float(vals[0]) if arr.ndim == 0 else vals.reshape(arr.shape)
 
 
 def orbit_argmax(scenario: Scenario, t: float) -> tuple[float, int, int]:
-    """Orbit norm at the finite time t with the maximising mode's family index and size."""
-    t = float(_finite_times(t))
+    """Orbit norm at the finite time t >= 0 with the maximising mode's family index and size."""
+    t = float(_orbit_times(t))
     amps = _orbit_amplitudes(scenario)
     sigma = scenario.operator.eigenvalues.real
     profile = amps * np.exp(sigma * t)

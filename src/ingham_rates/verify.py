@@ -125,11 +125,13 @@ def _frequency_route(kernel: Kernel):
     p(mu) e^{ist} / (is - lambda), whose primitive is
     i e^{ist} G(t (lambda - is)).  Summing the pieces leaves, at each
     breakpoint c, the jump d = p_left - p_right expanded about c, and
-    ``sum_k d_k i e^{ict} w^k R_k(x)`` (see :func:`_jump_terms`) with
-    w = mu - c and x = i t w.  G is cut where s = Im lambda; the principal
-    branch takes the side s < Im lambda there, so the piece [a, b) holding
-    Im lambda adds the pole term ``2 pi e^{lambda t} p(mu)``, with p in its
-    Taylor basis about its centre.  Returns ``defects(lam, wts, t)``: the
+    ``sum_k d_k i e^{ict} w^k R_k(x)`` with w = mu - c and x = i t w; as
+    w^k R_k(x) = k! (-q)^k e^x E_{k+1}(x) with q = w/x = -i/t, the jumps
+    need x and q only (see :func:`_jump_terms`).  G is cut where s = Im
+    lambda; the principal branch takes the side s < Im lambda there, so
+    the piece [a, b) holding Im lambda adds the pole term
+    ``2 pi e^{lambda t} p(mu)``, with p in its Taylor basis about its
+    centre.  Returns ``defects(lam, wts, t)``: the
     complex defects of the modes, one row each, at the times ``t``, which
     hold one row per mode or one row for all; q = -i/t is formed once per
     call and shared by the jumps.
@@ -154,7 +156,7 @@ def _frequency_route(kernel: Kernel):
         np.multiply(t, lam.real[:, None], out=x.real)
         for c, taylor in jumps:
             np.multiply(t, lam.imag[:, None] - c, out=x.imag)
-            jump = _jump_terms(x, (mu - c)[:, None], q, taylor)
+            jump = _jump_terms(x, q, taylor)
             total += np.multiply(1j * np.exp(1j * c * t), jump, out=jump)
         np.multiply(wts[:, None], total, out=total)
         return np.divide(total, 2.0 * math.pi, out=total)
@@ -441,13 +443,14 @@ def compare_decay(
         lo = max(10.0, bound.t_min * 1.05)
         t_grid = np.geomspace(lo, 1e4, max(5, int(round(20 * math.log10(1e4 / lo))) + 1))
     t_grid = np.asarray(t_grid, dtype=float)
+    # positive, as the next check holds it at or above t_min
+    if not (t_grid.ndim == 1 and t_grid.size and np.isfinite(t_grid).all()
+            and (np.diff(t_grid) > 0.0).all()):
+        raise ValueError("t_grid must be finite, positive and strictly increasing")
     if t_grid[0] < bound.t_min:
         raise ValueError(
             f"t_grid starts below the bound's validity threshold {bound.t_min:.6g}"
         )
-    # positive, as it starts at or above t_min
-    if not (t_grid.ndim == 1 and np.isfinite(t_grid).all() and (np.diff(t_grid) > 0.0).all()):
-        raise ValueError("t_grid must be finite, positive and strictly increasing")
     if t_grid[-1] < 100.0 * t_grid[0]:
         raise ValueError(
             "t_grid must span at least two decades so the first- and"

@@ -57,12 +57,11 @@ class TestTentKernel:
         assert psi(np.array(-0.75)) == pytest.approx(0.5, rel=1e-14)
 
     def test_taylor_patch_is_seamless(self):
-        # the direct formula carries ~1e-8 relative cancellation error at
-        # the patch point, which bounds the achievable seam mismatch
-        below = TENT.time_eval(np.array(0.99e-4))
-        above = TENT.time_eval(np.array(1.01e-4))
-        assert below == pytest.approx(above, rel=1e-7)
-        assert below == pytest.approx(3.0 / (4.0 * math.pi), rel=1e-8)
+        # the series below |t| = 3 and the direct form from there on meet
+        # to rounding: phi changes by about 3e-16 relative over the step
+        below = TENT.time_eval(np.array(np.nextafter(3.0, 0.0)))
+        above = TENT.time_eval(np.array(3.0))
+        assert below == pytest.approx(above, rel=2e-15)
 
     def test_evenness(self):
         t = np.linspace(0.1, 30.0, 57)
@@ -95,54 +94,35 @@ class TestFudgeKernel:
         assert FUDGE.freq_eval(np.array(0.05)) < 1.0
 
     def test_taylor_patch_is_seamless(self):
-        below = FUDGE.time_eval(np.array(0.99e-4))
-        above = FUDGE.time_eval(np.array(1.01e-4))
-        assert below == pytest.approx(above, rel=1e-7)
+        below = FUDGE.time_eval(np.array(np.nextafter(3.0, 0.0)))
+        above = FUDGE.time_eval(np.array(3.0))
+        assert below == pytest.approx(above, rel=2e-15)
 
 
-# Hand-written time profiles, Taylor tables and trigonometric components
-# that the kernels stated before they were derived from ``freq_pieces``;
-# kept verbatim as the reference the derivation must reproduce bit for bit.
-_TAYLOR_RADIUS = 1e-4
-_TAYLOR_TERMS = 6
-
-# (cos(t/2) - cos t)/t^2 = sum_{n>=1} (-1)^{n+1} (1 - 4^{-n}) t^{2n-2} / (2n)!
-_TENT_COEFFS = np.array([
-    (-1.0) ** (n + 1) * (1.0 - 4.0 ** (-n)) / math.factorial(2 * n)
-    for n in range(1, _TAYLOR_TERMS + 1)
-])
-# (sin t / t - cos t)/t^2 = sum_{n>=1} (-1)^{n+1} (2n) t^{2n-2} / (2n+1)!
-_FUDGE_COEFFS = np.array([
-    (-1.0) ** (n + 1) * (2.0 * n) / math.factorial(2 * n + 1)
-    for n in range(1, _TAYLOR_TERMS + 1)
-])
-
-
-def _polyval_even(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Evaluate sum coeffs[n] * t**(2n) with Horner's scheme."""
-    t2 = t * t
-    out = np.full_like(t, coeffs[-1])
-    for c in coeffs[-2::-1]:
-        out = out * t2 + c
-    return out
+# Hand-written time profiles and trigonometric components that the
+# kernels stated before they were derived from ``freq_pieces``; kept
+# verbatim as the reference the derivation must reproduce bit for bit from
+# the series switch at |t| = 3 on.
+_TAYLOR_RADIUS = 3.0
 
 
 def _tent_time(t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)
-    small = np.abs(t) < _TAYLOR_RADIUS
-    safe = np.where(small, 1.0, t)
-    direct = (np.cos(0.5 * safe) - np.cos(safe)) / (safe * safe)
-    series = _polyval_even(_TENT_COEFFS, t)
-    return (2.0 / math.pi) * np.where(small, series, direct)
+    return (2.0 / math.pi) * ((np.cos(0.5 * t) - np.cos(t)) / (t * t))
 
 
 def _fudge_time(t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)
-    small = np.abs(t) < _TAYLOR_RADIUS
-    safe = np.where(small, 1.0, t)
-    direct = (np.sin(safe) / safe - np.cos(safe)) / (safe * safe)
-    series = _polyval_even(_FUDGE_COEFFS, t)
-    return (2.0 / math.pi) * np.where(small, series, direct)
+    return (2.0 / math.pi) * ((np.sin(t) / t - np.cos(t)) / (t * t))
+
+
+def _mp_time(kernel_name: str, t: float) -> float:
+    """The tent or fudge profile at t != 0, at 40 digits."""
+    with mp.workdps(40):
+        t = mp.mpf(t)
+        if kernel_name == "tent":
+            return float(2 * (mp.cos(t / 2) - mp.cos(t)) / (mp.pi * t * t))
+        return float(2 * (mp.sin(t) / t - mp.cos(t)) / (mp.pi * t * t))
 
 
 _TENT_COMPONENTS = (
@@ -174,8 +154,21 @@ class TestDerivedFromPieces:
     ], ids=["tent", "fudge"])
     def test_matches_hand_written_forms_bit_for_bit(self, kernel, reference, components):
         t = _dense_grid()
+        t = t[np.abs(t) >= _TAYLOR_RADIUS]
         assert kernel.time_eval(t).tobytes() == reference(t).tobytes()
         assert kernel._components == components
+
+    @pytest.mark.parametrize("kernel", [TENT, FUDGE], ids=["tent", "fudge"])
+    def test_series_matches_mpmath(self, kernel):
+        # below |t| = 3 the series takes over from the hand-written forms,
+        # which cancel there: the 6-term series up to |t| = 1e-4 that came
+        # before left them off by 2.1e-8 (tent) and 3.2e-8 (fudge) just above
+        t = np.concatenate([np.geomspace(1e-6, 3.0, 60), np.linspace(0.9e-4, 1.1e-4, 5),
+                            np.linspace(2.5, 3.0, 11)[:-1], [np.nextafter(3.0, 0.0)]])
+        ref = np.array([_mp_time(kernel.name, v) for v in t])
+        got = kernel.time_eval(np.concatenate([t, -t]))
+        assert (np.abs(got[:t.size] - ref) / np.abs(ref)).max() <= 2e-14
+        assert np.array_equal(got[:t.size], got[t.size:])
 
     def test_kernels_are_cached(self):
         assert tent_kernel() is TENT
@@ -206,16 +199,14 @@ class TestDerivedFromPieces:
 
     def test_c2_plateau_pieces_build_the_bump(self):
         # psi = 1 - S(2s - 1) on [1/2, 1], S(u) = 10u^3 - 15u^4 + 6u^5,
-        # gives terms down to t^-6, which cancel to O(1) far beyond 1e-4
-        # (relative error 9e10 at t = 1.01e-4 with the tent's switch), so
-        # its series takes over below |t| = 3
+        # gives terms down to t^-6, which cancel to O(1) out to |t| = 3,
+        # where the 24-term series of every kernel takes over
         shoulder = 1.0 - Polynomial([0.0, 0.0, 0.0, 10.0, -15.0, 6.0])(Polynomial([-1.0, 2.0]))
         pieces = ((0.0, 0.5, (1.0,)), (0.5, 1.0, tuple(shoulder.coef.tolist())))
         bump = _piecewise_kernel("bump", pieces)
         assert bump is bump_kernel()
         assert {p for *_, p in bump._components} == {4, 5, 6}
-        radius, series = bump._series
-        assert (radius, len(series)) == (3.0, 24)
+        assert len(bump._series) == 24
 
 
 class TestFourierPairs:

@@ -370,15 +370,14 @@ class TestOrbitNormMatchesReference:
            copies=st.sampled_from([1, 2]),
            levels=st.sampled_from([None, 3]),
            seed=st.integers(0, 2**32 - 1),
-           times=st.lists(st.sampled_from([0.0, -0.0, -100.0, -2.5, 0.3, 7.0, 80.0, 1e3, 2e4])
-                          | st.floats(-5.0, 1e4), max_size=45),
+           times=st.lists(st.sampled_from([0.0, -0.0, 0.3, 7.0, 80.0, 1e3, 2e4])
+                          | st.floats(0.0, 1e4), max_size=45),
            shape=st.sampled_from(["flat", "2d", "scalar"]))
     @settings(max_examples=150, deadline=None)
     def test_sweep_matches_reference(self, kind, n, copies, levels, seed, times, shape):
         # the sweep runs wherever times x modes exceeds _ORBIT_CELLS;
         # exactly duplicated modes tie at every time, repeated Re lambda
-        # only in damping, and overflowing exps (negative times) with
-        # zero entries of x make NaN cells, which the unsorted route keeps
+        # only in damping, and zero entries of x make zero amplitudes
         rng = np.random.default_rng(seed)
         re = -(10.0 ** rng.uniform(-3.0, 1.0, n))
         if levels is not None:
@@ -391,8 +390,7 @@ class TestOrbitNormMatchesReference:
             t = t.reshape(3, -1)
         elif shape == "scalar" and t.size:
             t = t[0]
-        with np.errstate(over="ignore", invalid="ignore"):
-            _assert_bitwise(orbit_norm(sc, t), _reference_orbit_norm(sc, t))
+        _assert_bitwise(orbit_norm(sc, t), _reference_orbit_norm(sc, t))
 
     def test_memory_stays_bounded(self):
         # the full 61 x 40000 matrix and its exponential take 39 MB
@@ -487,6 +485,17 @@ class TestNonFiniteTimes:
         with pytest.raises(ValueError, match="t must be finite"):
             orbit_norm(sc, np.array([1.0, bad]))
         with pytest.raises(ValueError, match="t must be finite"):
+            orbit_argmax(sc, bad)
+
+    @pytest.mark.parametrize("bad", [-100.0, -5e-324, np.array([1.0, -2.5])])
+    def test_negative_times_name_t(self, bad):
+        # the semigroup is defined for t >= 0 only; at t = -100 an
+        # overflowing exp times a zero component gave NaN for the norm
+        sc = Scenario(DiagonalOperator(np.array([-10 + 1j, -1 + 2j])), "vector",
+                      x=np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="t must be non-negative"):
+            orbit_norm(sc, bad)
+        with pytest.raises(ValueError, match="t must be non-negative"):
             orbit_argmax(sc, bad)
 
 

@@ -16,7 +16,6 @@ from ingham_rates.kernels import (
     _FRACTION_EDGES,
     _SERIES_RADIUS,
     _SERIES_TERMS,
-    _SUBTRACTED_TERMS,
     _g_near,
     _jump_terms,
     bump_kernel,
@@ -158,8 +157,8 @@ def _mpmath_g_n(x, n):
 
 
 def _reference_g_near(x, n=1):
-    """kernels._g_near as it was, its continued fraction stepping through
-    every level of the deepest band whatever the points' depths."""
+    """kernels._g_near with its continued fraction stepping through every
+    level of the deepest band whatever the points' depths."""
     g = np.empty(x.shape, dtype=complex)
     frac = np.abs(x.imag) >= 4.0 + 0.5 * np.abs(x.real)
     depths = _FRACTION_DEPTHS + 4 * (n - 1)
@@ -187,7 +186,8 @@ def _reference_g_near(x, n=1):
     tail = np.empty_like(rest)
     step = _CHUNK // k.size
     for i in range(0, rest.size, step):  # terms (-x)^k / k! as one running product
-        tail[i:i + step] = np.cumprod(-rest[i:i + step, None] / k, axis=1) @ weights
+        tail[i:i + step] = np.einsum("ij,j->i", np.cumprod(-rest[i:i + step, None] / k, axis=1),
+                                     weights)
     if n == 1:
         g[~frac] = np.exp(rest) * (-np.euler_gamma - np.log(rest) - tail)
     else:
@@ -197,33 +197,14 @@ def _reference_g_near(x, n=1):
     return g
 
 
-def _reference_jump_terms(x, w, t, taylor):
-    """kernels._jump_terms as it was: q = -i/t divided out over the whole
-    array, zero Taylor coefficients evaluated on the far branch, powers w^0,
-    w^1 and q^1 built as temporaries, sums started from zeros and a fresh
-    array at each Horner level."""
-    out = np.empty(x.shape, dtype=complex)
+def _reference_jump_terms(x, t, taylor):
+    """kernels._jump_terms written plainly: q = -i/t divided out over the
+    whole array, the asymptotic series for every k, T_k built as
+    temporaries, and each k's H_k = e^x E_{k+1}(x) filled in a fresh array
+    and multiplied by its coefficient k! (-q)^k taylor[k] there."""
     q = -1j / t
-    deep = taylor.size > _SUBTRACTED_TERMS
-    near = np.abs(x) < (_DEEP_SERIES_RADIUS if deep else _SERIES_RADIUS)
-    xn, wn, qn = x[near], w[near], q[near]
-    g = None
-    acc = np.zeros(xn.shape, dtype=complex)
-    for k, d in enumerate(taylor):
-        if d == 0.0:
-            continue
-        if k < _SUBTRACTED_TERMS:
-            g = _g_near(xn) if g is None else g
-            part = wn ** k * g
-            for n in range(k):
-                part -= (-1) ** n * math.factorial(n) * wn ** (k - 1 - n) * qn ** (n + 1)
-        else:
-            part = math.factorial(k) * (-qn) ** k * _g_near(xn, k + 1)
-        acc += d * part
-    out[near] = acc
-
-    far = ~near
-    y, qf = 1.0 / x[far], q[far]
+    near = np.abs(x) < (_DEEP_SERIES_RADIUS if taylor.size > 3 else _SERIES_RADIUS)
+    y = 1.0 / x[~near]
     tk = np.ones(y.shape, dtype=complex)
     series = [None] * taylor.size
     for n in range(_SERIES_TERMS - 1, 0, -1):  # T_{n-1} = 1 - n y T_n
@@ -232,18 +213,22 @@ def _reference_jump_terms(x, w, t, taylor):
         tk += 1.0
         if n - 1 < taylor.size:
             series[n - 1] = tk
-    acc = np.zeros(y.shape, dtype=complex)
+    out = np.zeros(x.shape, dtype=complex)
     for k, d in enumerate(taylor):
-        acc += d * math.factorial(k) * (-qf) ** k * series[k]
-    out[far] = y * acc
+        if d == 0.0:
+            continue
+        h = np.empty(x.shape, dtype=complex)
+        h[near] = _g_near(x[near], k + 1)
+        h[~near] = y * series[k]
+        out += h * (d * math.factorial(k) * (-q) ** k)
     return out
 
 
 def _jump_points():
     """x = i t w on a grid of a column of w and a row of times t, built from
-    real parts as the defect engine builds it.  |x| = t |w| falls on both
-    sides of 40 and 60 and near 0, with Re x <= 0, off the cut at angles of
-    w from 0 to pi and on it with Im x = +0.0 and -0.0."""
+    real parts as the defect engine builds it, and t.  |x| = t |w| falls on
+    both sides of 40 and 60 and near 0, with Re x <= 0, off the cut at
+    angles of w from 0 to pi and on it with Im x = +0.0 and -0.0."""
     t = np.array([[0.5, 1.0, 2.0]])
     radii = np.array([1e-6, 0.5, 3.0, 12.0, 19.9999, 20.0, 20.0001, 29.9999, 30.0, 30.0001,
                       39.9999, 40.0, 40.0001, 59.9999, 60.0, 60.0001, 150.0])
@@ -256,7 +241,7 @@ def _jump_points():
     x = np.empty((w.size, t.size), dtype=complex)
     x.real = t * -w.imag[:, None]
     x.imag = t * w.real[:, None]
-    return x, w, t
+    return x, t
 
 
 def _g_near_points():
@@ -338,6 +323,22 @@ class TestDefectEngine:
             np.array([lam]), np.array([1.0 + 0j]), BUMP, np.array([t]))
         assert profile[0] == pytest.approx(_mpmath_defect(lam, t, "bump"), rel=1e-10, abs=0.0)
 
+    @pytest.mark.parametrize("kernel", [TENT, FUDGE], ids=["tent", "fudge"])
+    @pytest.mark.parametrize("t", [1.0, 4.0])
+    def test_moderate_arguments_match_mpmath(self, kernel, t):
+        # x = t (lambda - i) at the breakpoint c = 1 with |x| from 5 to 70,
+        # across the left half-plane and on the cut: R_1 and R_2 taken as G
+        # minus one or two terms lost up to |x|^k / k! of G's precision
+        # there (9.4e-14 relative on tent, 7.1e-13 on fudge)
+        radii = np.geomspace(5.0, 70.0, 9)
+        turns = np.exp(1j * np.pi * np.array([0.55, 0.75, 0.95, 1.05, 1.25, 1.45]))
+        for x in np.concatenate([np.outer(radii, turns).ravel(), -radii + 0j]).tolist():
+            lam = x / t + 1j
+            profile, _ = convolution_defect_profile(
+                np.array([lam]), np.array([1.0 + 0j]), kernel, np.array([t]))
+            assert profile[0] == pytest.approx(
+                _mpmath_defect(lam, t, kernel.name), rel=2e-14, abs=0.0), lam
+
     def test_g_near_matches_mpmath(self):
         x = _g_near_points()
         ref = np.array([_mpmath_g(v) for v in x])
@@ -362,22 +363,30 @@ class TestDefectEngine:
             assert got.tolist() == ref.tolist()
             assert np.signbit(got.imag).tolist() == np.signbit(ref.imag).tolist()
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_g_near_point_alone_equals_point_in_batch(self, n):
+        # a matrix product summed the series of one row by another BLAS
+        # path than a batch's, and moved the last bits of a lone point
+        x = _g_near_points()
+        batch = _g_near(x, n)
+        alone = np.concatenate([_g_near(x[i:i + 1], n) for i in range(x.size)])
+        assert alone.tobytes() == batch.tobytes()
+
     def test_jump_terms_equal_reference(self):
         # q from one row of times or a scalar, zero coefficients skipped,
-        # no power temporaries and Horner in place: bit for bit the old
-        # engine, signs of zero included, for every jump of the three
+        # (-1)^k in the coefficient and Horner in place: bit for bit the
+        # plain form, signs of zero included, for every jump of the three
         # kernels and the unit vectors of the component tails
-        x, w, t = _jump_points()
+        x, t = _jump_points()
         assert np.any(np.signbit(x.imag) & (x.imag == 0.0))
         assert np.any(~np.signbit(x.imag) & (x.imag == 0.0))
         rows = [taylor for k in (TENT, FUDGE, BUMP) for _, taylor in k.complement[2]]
         rows += [np.eye(p)[p - 1] for p in range(1, 7)]
         for taylor in rows:
-            ref = _reference_jump_terms(x, np.broadcast_to(w[:, None], x.shape),
-                                        np.broadcast_to(t, x.shape), taylor)
-            outs = [(_jump_terms(x, w[:, None], -1j / t, taylor), ref)]
+            ref = _reference_jump_terms(x, np.broadcast_to(t, x.shape), taylor)
+            outs = [(_jump_terms(x, -1j / t, taylor), ref)]
             # a scalar q, as the component tails pass it, one time at a time
-            outs += [(_jump_terms(x[:, j], w, -1j / float(tj), taylor), ref[:, j])
+            outs += [(_jump_terms(x[:, j], -1j / float(tj), taylor), ref[:, j])
                      for j, tj in enumerate(t[0])]
             for got, want in outs:
                 assert got.tolist() == want.tolist(), taylor
@@ -509,15 +518,13 @@ class TestMollifierStackedPass:
         report = check_mollifier_rate(scenario, kernel)
         assert [row[1] for row in report.rows] == _per_radius_rows(scenario, kernel)
 
-    def test_lone_series_point_agrees_to_rounding(self):
-        # not bit for bit everywhere: at R = 8 and 16 one jump of the
-        # per-radius loop had a single point in _g_near's series branch,
-        # which numpy sums as a one-row product by another BLAS path than
-        # the batch that holds it in the stacked pass (CHANGES.md FOUND)
+    def test_lone_series_point_agrees_bit_for_bit(self):
+        # at R = 8 and 16 one jump of the per-radius loop has a single
+        # point in _g_near's series branch, which the stacked pass holds in
+        # a batch: its sum takes the same bits either way
         scenario = Scenario(cluster_infinity(1.5, 4), "vector")
         stacked = [row[1] for row in check_mollifier_rate(scenario, TENT).rows]
-        per_radius = _per_radius_rows(scenario, TENT)
-        assert stacked == pytest.approx(per_radius, rel=1e-14, abs=0.0)
+        assert stacked == _per_radius_rows(scenario, TENT)
 
 
 class TestAsymptoticRegularity:
@@ -619,6 +626,16 @@ class TestCompareDecay:
         # and the truncation edges
         scenario = Scenario(cluster_infinity(1.0, 40000), "ainv")
         with pytest.raises(ValueError, match="finite, positive and strictly increasing"):
+            compare_decay(scenario, "infinity_smooth", c=0.45, t_grid=grid)
+
+    @pytest.mark.parametrize("grid", [np.tile(np.geomspace(10.0, 1e4, 10), (4, 1)),
+                                      np.float64(100.0), np.empty(0)],
+                             ids=["4x10", "scalar", "empty"])
+    def test_grid_must_be_one_dimensional(self, grid):
+        # checked before the validity threshold reads t_grid[0], which
+        # raised numpy's own "truth value ... ambiguous" and IndexError
+        scenario = Scenario(cluster_infinity(1.0, 2000), "ainv")
+        with pytest.raises(ValueError, match="t_grid"):
             compare_decay(scenario, "infinity_smooth", c=0.45, t_grid=grid)
 
     def test_grid_at_or_below_zero_is_below_the_validity_threshold(self):

@@ -77,12 +77,16 @@ from .verify import (
     AdmissibilityError,
     ExperimentReport,
     TruncationRangeError,
+    bound_table_report,
     check_asymptotic_regularity,
     check_mollifier_rate,
     check_parseval,
     compare_decay,
     convolution_defect_profile,
     fit_loglog,
+    kernel_check_report,
+    parseval_report,
+    raw_oracle_report,
 )
 
 __version__ = "0.1.0"
@@ -141,4 +145,8 @@ __all__ = [
     "check_mollifier_rate",
     "check_asymptotic_regularity",
     "compare_decay",
+    "bound_table_report",
+    "kernel_check_report",
+    "parseval_report",
+    "raw_oracle_report",
 ]

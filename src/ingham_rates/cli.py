@@ -47,7 +47,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -70,27 +70,20 @@ from .semigroup_lab import (
     single_mode,
 )
 from .verify import (
+    ExperimentReport,
+    bound_table_report,
     check_asymptotic_regularity,
     check_mollifier_rate,
     check_parseval,
     compare_decay,
-    fit_loglog,
+    kernel_check_report,
+    parseval_report,
+    raw_oracle_report,
 )
+# bound by name for bench/tracing.py, which wraps it in cli
+from .verify import fit_loglog  # noqa: F401
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
-
-EXPERIMENTS = (
-    "bound_table",
-    "kernel_check",
-    "parseval",
-    "mollifier_rate",
-    "asymptotic_regularity",
-    "compare_decay",
-    "raw_bound_oracle",
-)
-
-PARSEVAL_TOLERANCE = 1e-6
-KERNEL_MATCH_TOLERANCE = 1e-6
 
 _KERNELS = {"tent": tent_kernel, "fudge": fudge_kernel, "bump": bump_kernel}
 
@@ -119,25 +112,6 @@ _SCHEMA = {
     "tolerances": {"abs_tol": "float", "rel_tol": "float"},
 }
 
-_REQUIRED_SECTIONS = {
-    "bound_table": ("bound",),
-    "kernel_check": ("kernel",),
-    "parseval": ("scenario", "kernel"),
-    "mollifier_rate": ("scenario", "kernel"),
-    "asymptotic_regularity": ("scenario", "kernel"),
-    "compare_decay": ("scenario", "bound"),
-    "raw_bound_oracle": ("growth", "bound"),
-}
-
-_GRID_DEFAULTS = {
-    "bound_table": {"min": 10.0, "max": 1e4, "points": 61, "spacing": "log"},
-    "kernel_check": {"min": 0.0, "max": 2.0, "points": 9, "spacing": "linear"},
-    "parseval": {"min": 0.0, "max": 5.0, "points": 3, "spacing": "linear"},
-    "asymptotic_regularity": {"min": 10.0, "max": 1e3, "points": 41, "spacing": "log"},
-    "compare_decay": {"min": 10.0, "max": 1e4, "points": 61, "spacing": "log"},
-    "raw_bound_oracle": {"min": 100.0, "max": 1e4, "points": 21, "spacing": "log"},
-}
-
 
 class ConfigError(ValueError):
     """Raised with the complete list of configuration problems."""
@@ -157,19 +131,35 @@ class RunConfig:
     def __getitem__(self, section: str) -> dict:
         return self.sections[section]
 
-    def get(self, section: str, key: str, default=None):
-        return self.sections.get(section, {}).get(key, default)
+
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment of :data:`EXPERIMENTS`: all the CLI knows of it.
+
+    ``grid`` holds the ``[grid]`` defaults (min, max, points, spacing), or
+    None where ``[r_sweep]`` radii replace the grid.  Kernels outside
+    ``kernels`` lack a plateau at 0 and are refused, as are variants outside
+    ``variants``, with ``variants_reason``.  With ``rate_sections`` the
+    variant names the ``[growth]`` and ``[decay]`` sections it needs.
+    """
+
+    command: str
+    sections: tuple
+    grid: Optional[tuple]
+    runner: Callable[[RunConfig], ExperimentReport]
+    kernels: tuple = tuple(_KERNELS)
+    variants: tuple = VARIANTS
+    variants_reason: str = ""
+    rate_sections: bool = False
 
 
 def _default_tolerances() -> dict:
-    env = os.environ.get("INGHAM_RATES_TOL")
-    if env is not None:
-        try:
-            base = float(env)
-        except ValueError:
-            base = None
-        if base is not None and 0.0 < base < math.inf:
-            return {"abs_tol": base, "rel_tol": 10.0 * base}
+    try:
+        base = float(os.environ.get("INGHAM_RATES_TOL", "nan"))
+    except ValueError:
+        base = math.nan
+    if 0.0 < base < math.inf:
+        return {"abs_tol": base, "rel_tol": 10.0 * base}
     return {"abs_tol": 1e-10, "rel_tol": 1e-9}
 
 
@@ -204,22 +194,15 @@ def _validate_scenario(sc: dict, errors: list) -> None:
         if sc.get("lambda_re", -1.0) >= 0.0:
             errors.append("[scenario] lambda_re must be negative"
                           " (eigenvalues lie in the open left half-plane)")
-    elif family == "cluster_infinity":
-        if sc.get("alpha", 1.0) <= 0.0:
+    elif family in ("cluster_infinity", "cluster_zero", "mixed_cluster"):
+        # alpha for the clusters at infinity, beta for those at zero
+        if family != "cluster_zero" and sc.get("alpha", 1.0) <= 0.0:
             errors.append("[scenario] alpha must be positive")
-        if sc.get("n_modes", 1) < 1:
-            errors.append("[scenario] n_modes must be at least 1")
-    elif family == "cluster_zero":
-        if sc.get("beta", 2.0) <= 1.0:
+        if family != "cluster_infinity" and sc.get("beta", 2.0) <= 1.0:
             errors.append("[scenario] beta must exceed 1")
-        if sc.get("n_modes", 1) < 1:
+        if family != "mixed_cluster" and sc.get("n_modes", 1) < 1:
             errors.append("[scenario] n_modes must be at least 1")
-    elif family == "mixed_cluster":
-        if sc.get("alpha", 1.0) <= 0.0:
-            errors.append("[scenario] alpha must be positive")
-        if sc.get("beta", 2.0) <= 1.0:
-            errors.append("[scenario] beta must exceed 1")
-        if sc.get("n_infinity", 1) < 1 or sc.get("n_zero", 1) < 1:
+        if family == "mixed_cluster" and min(sc.get("n_infinity", 1), sc.get("n_zero", 1)) < 1:
             errors.append("[scenario] n_infinity and n_zero must be at least 1")
     else:
         errors.append(
@@ -277,20 +260,19 @@ def parse_config(text: str, experiment: Optional[str] = None,
                 cfg[section][key] = val
 
     name = experiment or cfg.get("experiment", {}).get("name")
-    if name is None:
+    exp = EXPERIMENTS.get(name)
+    if exp is not None:
+        cfg.setdefault("experiment", {})["name"] = name
+        for section in exp.sections:
+            if section not in cfg:
+                errors.append(f"experiment {name} requires section [{section}]")
+    elif name is None:
         errors.append("[experiment] name is required"
                       " (or choose a subcommand)")
-    elif name not in EXPERIMENTS:
+    else:
         errors.append(
             f"[experiment] name={name!r} must be one of {', '.join(EXPERIMENTS)}"
         )
-        name = None
-
-    if name is not None:
-        cfg.setdefault("experiment", {})["name"] = name
-        for section in _REQUIRED_SECTIONS[name]:
-            if section not in cfg:
-                errors.append(f"experiment {name} requires section [{section}]")
 
     # defaults
     tols = _default_tolerances()
@@ -299,7 +281,7 @@ def parse_config(text: str, experiment: Optional[str] = None,
     if cfg["tolerances"]["abs_tol"] <= 0.0 or cfg["tolerances"]["rel_tol"] <= 0.0:
         errors.append("[tolerances] abs_tol and rel_tol must be positive")
 
-    out = {"path": (name or "report"), "format": "both"}
+    out = {"path": name if exp is not None else "report", "format": "both"}
     out.update(cfg.get("output", {}))
     cfg["output"] = out
     if overrides:
@@ -309,8 +291,8 @@ def parse_config(text: str, experiment: Optional[str] = None,
             cfg["output"]["format"] = overrides["format"]
     _check_enum(cfg, "output", "format", ("csv", "json", "both"), errors)
 
-    if name is not None and name != "mollifier_rate":
-        grid = dict(_GRID_DEFAULTS[name])
+    if exp is not None and exp.grid is not None:
+        grid = dict(zip(("min", "max", "points", "spacing"), exp.grid))
         grid.update(cfg.get("grid", {}))
         cfg["grid"] = grid
         _check_enum(cfg, "grid", "spacing", ("log", "linear"), errors)
@@ -320,7 +302,7 @@ def parse_config(text: str, experiment: Optional[str] = None,
             errors.append("[grid] min must be below max")
         elif grid["spacing"] == "log" and grid["min"] <= 0.0:
             errors.append("[grid] log spacing requires min > 0")
-    if name == "mollifier_rate":
+    elif exp is not None:
         sweep = {"values": "4,8,16,32", "t_max": 20.0}
         sweep.update(cfg.get("r_sweep", {}))
         cfg["r_sweep"] = sweep
@@ -351,9 +333,9 @@ def parse_config(text: str, experiment: Optional[str] = None,
         kern.update(cfg["kernel"])
         cfg["kernel"] = kern
         _check_enum(cfg, "kernel", "name", tuple(_KERNELS), errors)
-        if name == "asymptotic_regularity" and kern["name"] == "fudge":
+        if exp is not None and kern["name"] in _KERNELS and kern["name"] not in exp.kernels:
             errors.append(
-                "[kernel] fudge is inadmissible for asymptotic_regularity:"
+                f"[kernel] {kern['name']} is inadmissible for {name}:"
                 " its transform is not identically 1 near 0"
             )
 
@@ -377,15 +359,11 @@ def parse_config(text: str, experiment: Optional[str] = None,
                     _admissible_c(variant, cfg["bound"]["c"])
                 except ValueError as exc:
                     errors.append(f"[bound] {exc}")
-            if name == "raw_bound_oracle" and variant not in (
-                    "infinity_ck", "infinity_smooth"):
-                errors.append(
-                    "[bound] raw_bound_oracle minimises the high-frequency"
-                    " estimate and requires variant infinity_ck or"
-                    " infinity_smooth"
-                )
+            if exp is not None and variant not in exp.variants:
+                errors.append(f"[bound] {name} {exp.variants_reason} and requires"
+                              f" variant {' or '.join(exp.variants)}")
 
-    if name == "bound_table" and "bound" in cfg:
+    if exp is not None and exp.rate_sections and "bound" in cfg:
         variant = cfg["bound"].get("variant", "")
         if variant.startswith(("infinity", "zero_infinity")) and "growth" not in cfg:
             errors.append(f"variant {variant} requires section [growth]")
@@ -436,19 +414,10 @@ def _make_scenario(cfg: RunConfig) -> Scenario:
 
 
 def _rate_function(cfg: RunConfig, section: str) -> MonotoneFunction:
+    """The ``[growth]`` or ``[decay]`` rate: ``MonotoneFunction.<family>_<section>``."""
     spec = cfg[section]
-    fam = spec["family"]
-    if section == "growth":
-        if fam == "power":
-            return MonotoneFunction.power_growth(spec["alpha"])
-        if fam == "exponential":
-            return MonotoneFunction.exponential_growth(spec["alpha"])
-        return MonotoneFunction.constant_growth(spec["value"])
-    if fam == "power":
-        return MonotoneFunction.power_decay(spec["alpha"])
-    if fam == "exponential":
-        return MonotoneFunction.exponential_decay(spec["alpha"])
-    return MonotoneFunction.constant_decay(spec["value"])
+    make = getattr(MonotoneFunction, f"{spec['family']}_{section}")
+    return make(spec["value"] if spec["family"] == "constant" else spec["alpha"])
 
 
 def _expected_power_slope(cfg: RunConfig, variant: str) -> Optional[float]:
@@ -464,150 +433,90 @@ def _expected_power_slope(cfg: RunConfig, variant: str) -> Optional[float]:
     return -k / (alpha * (k + 1) + offset)
 
 
-def _run_bound_table(cfg: RunConfig):
-    variant = cfg["bound"]["variant"]
-    growth = decay = None
-    if variant.startswith(("infinity", "zero_infinity")):
-        growth = _rate_function(cfg, "growth")
-    if variant.startswith("zero"):
-        decay = _rate_function(cfg, "decay")
-    bound = make_bound(variant, growth=growth, decay=decay,
-                       c=cfg["bound"].get("c"), k=cfg["bound"].get("k"))
+def _bound_on_grid(cfg: RunConfig):
+    """The configured bound and the grid of t, which must start at its t_min or above."""
+    rates = {section: _rate_function(cfg, section)
+             for section in ("growth", "decay") if section in cfg.sections}
+    bound = make_bound(cfg["bound"]["variant"], c=cfg["bound"].get("c"),
+                       k=cfg["bound"].get("k"), **rates)
     ts = _grid_values(cfg)
     if ts[0] < bound.t_min:
         raise ValueError(
             f"[grid] min={ts[0]:g} is below the bound's validity threshold"
             f" t_min={bound.t_min:.6g}"
         )
-    vals = bound(ts)
-    expected = _expected_power_slope(cfg, variant)
-    reference = ts ** expected if expected is not None else np.ones_like(ts)
-    rows = [(float(t), float(v), float(r), float(v / r))
-            for t, v, r in zip(ts, vals, reference)]
-    failures = []
-    if np.any(vals <= 0.0):
-        failures.append("bound values must be positive")
-    if np.any(np.diff(vals) > 1e-12 * vals[:-1]):
-        failures.append("bound values must be non-increasing in t")
-    slopes = {}
-    # fit on the last two decades so pre-asymptotic curvature does not
-    # contaminate the exponent estimate
-    tail = ts >= ts[-1] / 100.0
-    if np.count_nonzero(tail) >= 5:
-        slopes["bound"] = fit_loglog(list(zip(ts[tail], vals[tail])))
-        if expected is not None and abs(slopes["bound"][0] - expected) > 0.05:
-            failures.append(
-                f"fitted slope {slopes['bound'][0]:.4f} deviates from the"
-                f" closed-form exponent {expected:.4f} by more than 0.05"
-            )
-    meta = {"variant": variant, "c": bound.c, "k": bound.k, "t_min": bound.t_min}
-    if expected is not None:
-        meta["expected_slope"] = expected
-    return rows, slopes, failures, meta, None
+    return bound, ts
 
 
-def _run_kernel_check(cfg: RunConfig):
+def _run_bound_table(cfg: RunConfig) -> ExperimentReport:
+    bound, ts = _bound_on_grid(cfg)
+    meta = {"variant": bound.variant, "c": bound.c, "k": bound.k, "t_min": bound.t_min}
+    return bound_table_report(ts, bound(ts), _expected_power_slope(cfg, bound.variant), meta)
+
+
+def _run_kernel_check(cfg: RunConfig) -> ExperimentReport:
     kernel = _make_kernel(cfg)
-    spec = QuadratureSpec(abs_tol=cfg["tolerances"]["abs_tol"],
-                          rel_tol=cfg["tolerances"]["rel_tol"])
     svals = _grid_values(cfg)
-    rows = []
-    worst = 0.0
-    for s, numeric in zip(svals.tolist(), numeric_fourier(kernel, svals, spec).tolist()):
-        closed = float(kernel.freq_eval(np.asarray(s)))
-        worst = max(worst, abs(numeric - closed))
-        ratio = numeric / closed if closed > 0.0 else math.nan
-        rows.append((s, numeric, closed, ratio))
-    failures = []
-    if worst > KERNEL_MATCH_TOLERANCE:
-        failures.append(
-            f"numeric transform deviates from the closed form by {worst:.3e}"
-            f" (tolerance {KERNEL_MATCH_TOLERANCE:g})"
-        )
-    return rows, {}, failures, {"kernel": kernel.name, "max_abs_error": worst}, None
+    return kernel_check_report(
+        kernel, svals, numeric_fourier(kernel, svals, QuadratureSpec(**cfg["tolerances"])))
 
 
-def _run_parseval(cfg: RunConfig):
+def _run_parseval(cfg: RunConfig) -> ExperimentReport:
     scenario = _make_scenario(cfg)
     kernel = _make_kernel(cfg)
-    spec = QuadratureSpec(abs_tol=cfg["tolerances"]["abs_tol"],
-                          rel_tol=cfg["tolerances"]["rel_tol"])
-    rows = []
-    failures = []
-    for t in _grid_values(cfg):
-        residual = check_parseval(scenario, kernel, float(t), spec=spec)
-        rows.append((float(t), residual, PARSEVAL_TOLERANCE,
-                     residual / PARSEVAL_TOLERANCE))
-        if residual > PARSEVAL_TOLERANCE:
-            failures.append(f"residual {residual:.3e} at t={t:g} exceeds"
-                            f" {PARSEVAL_TOLERANCE:g}")
-    meta = {"kernel": kernel.name, "scenario": scenario.operator.label}
-    return rows, {}, failures, meta, None
+    spec = QuadratureSpec(**cfg["tolerances"])
+    ts = _grid_values(cfg)
+    residuals = [check_parseval(scenario, kernel, float(t), spec=spec) for t in ts]
+    return parseval_report(ts, residuals,
+                           {"kernel": kernel.name, "scenario": scenario.operator.label})
 
 
-def _run_mollifier(cfg: RunConfig):
-    report = check_mollifier_rate(
+def _run_mollifier(cfg: RunConfig) -> ExperimentReport:
+    return check_mollifier_rate(
         _make_scenario(cfg), _make_kernel(cfg),
         r_list=cfg["r_sweep"]["values"], t_max=cfg["r_sweep"]["t_max"])
-    return (report.rows, report.slopes, report.failures, report.metadata,
-            report.constant_stability)
 
 
-def _run_regularity(cfg: RunConfig):
-    report = check_asymptotic_regularity(
+def _run_regularity(cfg: RunConfig) -> ExperimentReport:
+    return check_asymptotic_regularity(
         _make_scenario(cfg), _make_kernel(cfg), t_grid=_grid_values(cfg))
-    return (report.rows, report.slopes, report.failures, report.metadata,
-            report.constant_stability)
 
 
-def _run_compare_decay(cfg: RunConfig):
-    report = compare_decay(
+def _run_compare_decay(cfg: RunConfig) -> ExperimentReport:
+    return compare_decay(
         _make_scenario(cfg), cfg["bound"]["variant"],
         c=cfg["bound"].get("c"), k=cfg["bound"].get("k", 1),
         t_grid=_grid_values(cfg))
-    return (report.rows, report.slopes, report.failures, report.metadata,
-            report.constant_stability)
 
 
-def _run_raw_oracle(cfg: RunConfig):
-    variant = cfg["bound"]["variant"]
-    growth = _rate_function(cfg, "growth")
-    c = cfg["bound"].get("c")
-    k = cfg["bound"].get("k", 1)
-    bound = make_bound(variant, growth=growth, c=c,
-                       k=k if variant.endswith("_ck") else None)
-    ts = _grid_values(cfg)
-    if ts[0] < bound.t_min:
-        raise ValueError(
-            f"[grid] min={ts[0]:g} is below the bound's validity threshold"
-            f" t_min={bound.t_min:.6g}"
-        )
-    closed_values, inverse = bound.evaluate(ts)
-    if variant == "infinity_ck":
-        raws, _ = raw_bound_ck(growth, k, bound.c, ts, inverse=inverse)
+def _run_raw_oracle(cfg: RunConfig) -> ExperimentReport:
+    bound, ts = _bound_on_grid(cfg)
+    closed, inverse = bound.evaluate(ts)
+    if bound.variant == "infinity_ck":
+        raws, _ = raw_bound_ck(bound.growth, bound.k, bound.c, ts, inverse=inverse)
     else:
-        raws, _ = raw_bound_smooth(growth, bound.c, ts, inverse=inverse)
-    rows = []
-    failures = []
-    for t, raw, closed in zip(ts.tolist(), raws.tolist(), closed_values.tolist()):
-        ratio = raw / closed
-        rows.append((t, raw, closed, ratio))
-        if not 0.1 <= ratio <= 10.0:
-            failures.append(
-                f"raw/closed ratio {ratio:.4g} at t={t:g} leaves [0.1, 10]"
-            )
-    meta = {"variant": variant, "c": bound.c, "k": bound.k}
-    return rows, {}, failures, meta, None
+        raws, _ = raw_bound_smooth(bound.growth, bound.c, ts, inverse=inverse)
+    return raw_oracle_report(ts, raws, closed,
+                             {"variant": bound.variant, "c": bound.c, "k": bound.k})
 
 
-_RUNNERS = {
-    "bound_table": _run_bound_table,
-    "kernel_check": _run_kernel_check,
-    "parseval": _run_parseval,
-    "mollifier_rate": _run_mollifier,
-    "asymptotic_regularity": _run_regularity,
-    "compare_decay": _run_compare_decay,
-    "raw_bound_oracle": _run_raw_oracle,
+# One record per experiment, in the order the CLI lists them.
+EXPERIMENTS = {
+    "bound_table": Experiment("bound", ("bound",), (10.0, 1e4, 61, "log"), _run_bound_table,
+                              rate_sections=True),
+    "kernel_check": Experiment("kernel", ("kernel",), (0.0, 2.0, 9, "linear"),
+                               _run_kernel_check),
+    "parseval": Experiment("parseval", ("scenario", "kernel"), (0.0, 5.0, 3, "linear"),
+                           _run_parseval),
+    "mollifier_rate": Experiment("mollifier", ("scenario", "kernel"), None, _run_mollifier),
+    "asymptotic_regularity": Experiment("regularity", ("scenario", "kernel"),
+                                        (10.0, 1e3, 41, "log"), _run_regularity,
+                                        kernels=("tent", "bump")),
+    "compare_decay": Experiment("decay", ("scenario", "bound"), (10.0, 1e4, 61, "log"),
+                                _run_compare_decay),
+    "raw_bound_oracle": Experiment("oracle", ("growth", "bound"), (100.0, 1e4, 21, "log"),
+                                   _run_raw_oracle, variants=("infinity_ck", "infinity_smooth"),
+                                   variants_reason="minimises the high-frequency estimate"),
 }
 
 
@@ -618,25 +527,25 @@ def _output_paths(cfg: RunConfig) -> tuple[Path, Path]:
     return base.with_name(base.name + ".csv"), base.with_name(base.name + ".json")
 
 
-def _write_reports(cfg: RunConfig, rows, slopes, failures, meta, stability) -> None:
+def _write_reports(cfg: RunConfig, report: ExperimentReport) -> None:
     fmt = cfg["output"]["format"]
     csv_path, json_path = _output_paths(cfg)
     if fmt in ("csv", "both"):
         lines = ["abscissa,measured,reference,ratio"]
-        for row in rows:
+        for row in report.rows:
             lines.append(",".join("{:.12g}".format(float(v)) for v in row))
         csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     if fmt in ("json", "both"):
         payload = {
             "experiment": cfg.experiment,
             "config": cfg.sections,
-            "rows": len(rows),
+            "rows": len(report.rows),
             "slopes": {name: {"slope": s, "stderr": e}
-                       for name, (s, e) in slopes.items()},
-            "constant_stability": stability,
-            "passed": not failures,
-            "failures": failures,
-            "metadata": meta,
+                       for name, (s, e) in report.slopes.items()},
+            "constant_stability": report.constant_stability,
+            "passed": report.passed,
+            "failures": report.failures,
+            "metadata": report.metadata,
         }
         json_path.write_text(
             json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n",
@@ -660,39 +569,28 @@ def run(cfg: RunConfig) -> int:
     """Execute the configured experiment and write its reports.
 
     Returns 0 when every invariant passed, 1 when an invariant failed or
-    quadrature did not converge, 2 on any other runtime error, printed as
+    quadrature did not converge, 2 on any other runtime error (a model too
+    large to allocate included), printed as
     ``error: [<layer>] <Class>: <message>`` with the package module that
     raised it.
     """
-    runner = _RUNNERS[cfg.experiment]
     try:
-        rows, slopes, failures, meta, stability = runner(cfg)
+        report = EXPERIMENTS[cfg.experiment].runner(cfg)
     except NonConvergenceError as exc:
-        _write_reports(cfg, [], {}, [f"not converged: {exc}"], {}, None)
+        _write_reports(cfg, ExperimentReport(rows=[], failures=[f"not converged: {exc}"]))
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (RuntimeError, ValueError, OSError) as exc:
+    except (RuntimeError, ValueError, OSError, MemoryError) as exc:
         print(f"error: [{_failing_layer(exc)}] {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     try:
-        _write_reports(cfg, rows, slopes, failures, meta, stability)
+        _write_reports(cfg, report)
     except OSError as exc:
         print(f"error: cannot write reports: {exc}", file=sys.stderr)
         return 2
-    for failure in failures:
+    for failure in report.failures:
         print(f"invariant failed: {failure}", file=sys.stderr)
-    return 0 if not failures else 1
-
-
-_SUBCOMMANDS = {
-    "bound": "bound_table",
-    "kernel": "kernel_check",
-    "parseval": "parseval",
-    "mollifier": "mollifier_rate",
-    "regularity": "asymptotic_regularity",
-    "decay": "compare_decay",
-    "oracle": "raw_bound_oracle",
-}
+    return 0 if report.passed else 1
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -702,8 +600,8 @@ def main(argv: Optional[list] = None) -> int:
                     " diagonal semigroup models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, experiment in _SUBCOMMANDS.items():
-        p = sub.add_parser(command, help=f"run the {experiment} experiment")
+    for experiment, record in EXPERIMENTS.items():
+        p = sub.add_parser(record.command, help=f"run the {experiment} experiment")
         p.add_argument("--config", type=Path, default=None,
                        help="INI configuration file")
         p.add_argument("--out", default=None,

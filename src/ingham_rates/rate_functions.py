@@ -247,17 +247,18 @@ class ComposedRate:
         arr, scalar = _as_array(x)
         self.source._check_domain(arr)
         with np.errstate(over="ignore", invalid="ignore"):
-            v = np.asarray(self.source.evaluator(arr), dtype=float)
-            if self.kind == "growth":
-                if self.k is None:
-                    out = v * (np.log1p(arr) + np.log(v))
-                else:
-                    out = v * np.exp((2.0 * np.log1p(arr) + np.log(v)) / self.k)
-            elif self.k is None:
-                out = v * np.log1p(v / arr)
-            else:
-                out = v * np.exp((np.log(v) - np.log(arr)) / self.k)
-        return _ret(out, scalar)
+            return _ret(self._values(arr), scalar)
+
+    def _values(self, arr: np.ndarray) -> np.ndarray:
+        """The composition on a float array in the domain, unchecked; callers set errstate."""
+        v = np.asarray(self.source.evaluator(arr), dtype=float)
+        if self.kind == "growth":
+            if self.k is None:
+                return v * (np.log1p(arr) + np.log(v))
+            return v * np.exp((2.0 * np.log1p(arr) + np.log(v)) / self.k)
+        if self.k is None:
+            return v * np.log1p(v / arr)
+        return v * np.exp((np.log(v) - np.log(arr)) / self.k)
 
 
 # -- inversion ---------------------------------------------------------------
@@ -371,29 +372,32 @@ def _invert(f, y: np.ndarray) -> tuple[np.ndarray, dict]:
 
     # Bisect in u, where f increases, until each residual is within slack.
     # The open elements' state is kept compacted and shrinks only on a hit;
-    # the bracket ends move in place.
+    # the bracket ends move in place.  A midpoint lies inside a bracket
+    # already in the domain, so f is evaluated there without its checks.
     xt = np.full(todo.size, np.nan)
     active = np.flatnonzero(rung >= 0)
     far = rung[active]
     near = np.where(far > 0, ladder[far - 1], edge_x)
     u_lo, u_hi = to_u(near), to_u(ladder[far])
     ya, sa, fx = yt[active], st[active], np.empty(0)
-    for _ in range(600):
-        if not active.size:
-            break
-        u_mid = 0.5 * (u_lo + u_hi)
-        xm = from_u(u_mid)
-        fx = np.asarray(f(xm), dtype=float)
-        gap = fx - ya
-        rise = gap < 0.0
-        np.copyto(u_lo, u_mid, where=rise)
-        np.copyto(u_hi, u_mid, where=~rise)
-        hit = np.abs(gap) <= sa
-        if hit.any():
-            xt[active[hit]] = xm[hit]
-            keep = ~hit
-            active, u_lo, u_hi = active[keep], u_lo[keep], u_hi[keep]
-            ya, sa, fx = ya[keep], sa[keep], fx[keep]
+    values = getattr(f, "_values", f)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(600):
+            if not active.size:
+                break
+            u_mid = 0.5 * (u_lo + u_hi)
+            xm = from_u(u_mid)
+            fx = np.asarray(values(xm), dtype=float)
+            gap = fx - ya
+            rise = gap < 0.0
+            np.copyto(u_lo, u_mid, where=rise)
+            np.copyto(u_hi, u_mid, where=~rise)
+            hit = np.abs(gap) <= sa
+            if hit.any():
+                xt[active[hit]] = xm[hit]
+                keep = ~hit
+                active, u_lo, u_hi = active[keep], u_lo[keep], u_hi[keep]
+                ya, sa, fx = ya[keep], sa[keep], fx[keep]
     for j, fv in zip(active.tolist(), fx.tolist()):
         failures[int(todo[j])] = InversionRangeError(
             f"bisection did not reach |f(x) - y| <= {float(st[j])!r};"
@@ -652,7 +656,8 @@ def _raw_minima(logf, param: Callable[[np.ndarray], np.ndarray],
     if not (c > 0.0 and np.all(flat > 0.0)):
         raise ValueError("c and t must be positive")
     u_max = _libm(math.log, _search_radii(composed, c * flat, inverse))
-    values, argmins = _minimise_rows(logf, param(flat), u_max)
+    with np.errstate(over="ignore"):  # logf evaluates the growth rate unchecked
+        values, argmins = _minimise_rows(logf, param(flat), u_max)
     if scalar:
         return float(values[0]), float(argmins[0])
     return values, argmins
@@ -674,7 +679,7 @@ def raw_bound_ck(growth: MonotoneFunction, k: int, c: float, t, *, inverse=None)
     _require_k(k)
 
     def logf(u: np.ndarray, k_log_t: np.ndarray) -> np.ndarray:
-        M = growth(_libm(math.exp, u))
+        M = growth.evaluator(_libm(math.exp, u))
         val = np.logaddexp(-u, u + (k + 1) * _libm(math.log, M) - k_log_t)
         return np.where(np.isfinite(M), val, np.inf)
 
@@ -695,7 +700,7 @@ def raw_bound_smooth(growth: MonotoneFunction, c: float, t, *, inverse=None):
 
     def logf(u: np.ndarray, two_ct: np.ndarray) -> np.ndarray:
         R = _libm(math.exp, u)
-        M = growth(R)
+        M = growth.evaluator(R)
         big = 2.0 * _libm(math.log1p, R) + 2.0 * _libm(math.log, M) - two_ct / M
         return np.where(np.isfinite(M), np.logaddexp(big, 0.0) - u, np.inf)
 

@@ -125,8 +125,10 @@ def cluster_infinity(alpha: float, n_modes: int) -> DiagonalOperator:
     if n_modes < 1:
         raise ValueError("n_modes must be at least 1")
     n = np.arange(1, n_modes + 1, dtype=float)
-    return DiagonalOperator(-(n ** (-alpha)) + 1j * n,
-                            label=f"cluster_infinity(alpha={alpha:g}, N={n_modes})")
+    lam = np.empty(n_modes, dtype=complex)  # filled in place: no complex temporaries
+    np.negative(np.power(n, -alpha, out=lam.real), out=lam.real)
+    lam.imag = n
+    return DiagonalOperator(lam, label=f"cluster_infinity(alpha={alpha:g}, N={n_modes})")
 
 
 def cluster_zero(beta: float, n_modes: int) -> DiagonalOperator:
@@ -136,8 +138,10 @@ def cluster_zero(beta: float, n_modes: int) -> DiagonalOperator:
     if n_modes < 1:
         raise ValueError("n_modes must be at least 1")
     n = np.arange(1, n_modes + 1, dtype=float)
-    return DiagonalOperator(-(n ** (-beta)) + 1j / n,
-                            label=f"cluster_zero(beta={beta:g}, N={n_modes})")
+    lam = np.empty(n_modes, dtype=complex)
+    np.negative(np.power(n, -beta, out=lam.real), out=lam.real)
+    np.divide(1.0, n, out=lam.imag)
+    return DiagonalOperator(lam, label=f"cluster_zero(beta={beta:g}, N={n_modes})")
 
 
 def mixed_cluster(alpha: float, beta: float, n_infinity: int, n_zero: int) -> DiagonalOperator:

@@ -61,7 +61,14 @@ __all__ = [
     "check_mollifier_rate",
     "check_asymptotic_regularity",
     "compare_decay",
+    "bound_table_report",
+    "kernel_check_report",
+    "parseval_report",
+    "raw_oracle_report",
 ]
+
+PARSEVAL_TOLERANCE = 1e-6
+KERNEL_MATCH_TOLERANCE = 1e-6
 
 
 class AdmissibilityError(ValueError):
@@ -79,9 +86,12 @@ class ExperimentReport:
     rows: list
     slopes: dict = field(default_factory=dict)
     constant_stability: Optional[float] = None
-    passed: bool = True
     failures: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
 
 def fit_loglog(pairs: Sequence[tuple]) -> tuple[float, float]:
@@ -308,7 +318,6 @@ def check_mollifier_rate(
     return ExperimentReport(
         rows=rows,
         constant_stability=stability,
-        passed=not failures,
         failures=failures,
         metadata={
             "experiment": "mollifier_rate",
@@ -395,7 +404,6 @@ def check_asymptotic_regularity(
         rows=rows,
         slopes={"defect": slope} if slope is not None else {},
         constant_stability=stability,
-        passed=not failures,
         failures=failures,
         metadata=metadata,
     )
@@ -496,7 +504,6 @@ def compare_decay(
         slopes=slopes,
         constant_stability=float(np.max(ratio) / np.min(ratio))
         if np.all(ratio > 0.0) else math.inf,
-        passed=not failures,
         failures=failures,
         metadata={
             "experiment": "compare_decay",
@@ -509,3 +516,76 @@ def compare_decay(
             "ratio_nonincreasing": bool(np.all(diffs <= 1e-12)),
         },
     )
+
+
+# -- reports of the closed-form experiments ------------------------------------
+
+
+def bound_table_report(t_grid: np.ndarray, values: np.ndarray, expected: Optional[float],
+                       metadata: dict) -> ExperimentReport:
+    """Rows (t, bound, reference, ratio) of a rate bound, the reference
+    ``t**expected`` for a closed-form exponent ``expected`` and 1 for None.
+    Pass rules: the values are positive and non-increasing in t, and a given
+    ``expected`` lies within 0.05 of the slope fitted on the last two decades.
+    """
+    reference = t_grid ** expected if expected is not None else np.ones_like(t_grid)
+    rows = [(float(t), float(v), float(r), float(v / r))
+            for t, v, r in zip(t_grid, values, reference)]
+    failures = []
+    if np.any(values <= 0.0):
+        failures.append("bound values must be positive")
+    if np.any(np.diff(values) > 1e-12 * values[:-1]):
+        failures.append("bound values must be non-increasing in t")
+    slopes = {}
+    tail = _grid_decades(t_grid)[2]
+    if np.count_nonzero(tail) >= 5:
+        slopes["bound"] = fit_loglog(list(zip(t_grid[tail], values[tail])))
+        if expected is not None and abs(slopes["bound"][0] - expected) > 0.05:
+            failures.append(
+                f"fitted slope {slopes['bound'][0]:.4f} deviates from the"
+                f" closed-form exponent {expected:.4f} by more than 0.05"
+            )
+    if expected is not None:
+        metadata = {**metadata, "expected_slope": expected}
+    return ExperimentReport(rows=rows, slopes=slopes, failures=failures, metadata=metadata)
+
+
+def kernel_check_report(kernel: Kernel, s_grid: np.ndarray,
+                        numeric: np.ndarray) -> ExperimentReport:
+    """Rows (s, numeric, closed, ratio) of a kernel's numeric transform
+    against its closed form, the ratio NaN where that vanishes; fails where
+    the two differ by more than ``KERNEL_MATCH_TOLERANCE``."""
+    closed = [float(kernel.freq_eval(np.asarray(s))) for s in s_grid.tolist()]
+    rows = [(s, v, c, v / c if c > 0.0 else math.nan)
+            for s, v, c in zip(s_grid.tolist(), numeric.tolist(), closed)]
+    worst = max([0.0] + [abs(v - c) for _, v, c, _ in rows])
+    failures = []
+    if worst > KERNEL_MATCH_TOLERANCE:
+        failures.append(
+            f"numeric transform deviates from the closed form by {worst:.3e}"
+            f" (tolerance {KERNEL_MATCH_TOLERANCE:g})"
+        )
+    return ExperimentReport(rows=rows, failures=failures,
+                            metadata={"kernel": kernel.name, "max_abs_error": worst})
+
+
+def parseval_report(t_grid: np.ndarray, residuals: Sequence[float],
+                    metadata: dict) -> ExperimentReport:
+    """Rows (t, residual, tolerance, ratio) of :func:`check_parseval`
+    residuals; fails at every t where one exceeds ``PARSEVAL_TOLERANCE``."""
+    rows = [(float(t), r, PARSEVAL_TOLERANCE, r / PARSEVAL_TOLERANCE)
+            for t, r in zip(t_grid, residuals)]
+    failures = [f"residual {r:.3e} at t={t:g} exceeds {PARSEVAL_TOLERANCE:g}"
+                for t, r, _, _ in rows if r > PARSEVAL_TOLERANCE]
+    return ExperimentReport(rows=rows, failures=failures, metadata=metadata)
+
+
+def raw_oracle_report(t_grid: np.ndarray, raws: np.ndarray, closed: np.ndarray,
+                      metadata: dict) -> ExperimentReport:
+    """Rows (t, raw, closed, ratio) of raw two-term minima against the
+    closed-form bound; fails at every t where the ratio leaves [0.1, 10]."""
+    rows = [(t, raw, bound, raw / bound)
+            for t, raw, bound in zip(t_grid.tolist(), raws.tolist(), closed.tolist())]
+    failures = [f"raw/closed ratio {ratio:.4g} at t={t:g} leaves [0.1, 10]"
+                for t, _, _, ratio in rows if not 0.1 <= ratio <= 10.0]
+    return ExperimentReport(rows=rows, failures=failures, metadata=metadata)

@@ -7,8 +7,12 @@ full effective config), exit-code semantics, and byte-level determinism
 of repeated runs.
 """
 
+import hashlib
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -98,6 +102,95 @@ n_modes = 20
 [kernel]
 name = tent
 """
+
+
+CONFIG_ERROR_CORPUS = [
+    ("""
+[experiment]
+name = mollifier_rate
+[scenario]
+family = cluster_zero
+beta = 0.5
+n_modes = 0
+[kernel]
+name = gaussian
+[r_sweep]
+values = 8,4
+t_max = 0.5
+""", [
+        "[r_sweep] values must be positive and increasing",
+        "[r_sweep] t_max must exceed 1",
+        "[scenario] beta must exceed 1",
+        "[scenario] n_modes must be at least 1",
+        "[kernel] name='gaussian' must be one of tent, fudge, bump",
+    ]),
+    ("""
+[experiment]
+name = raw_bound_oracle
+[growth]
+family = power
+alpha = -1
+[bound]
+variant = zero_ck
+c = -1
+""", [
+        "[bound] c=-1.0 outside admissible interval (0, inf) for variant zero_ck",
+        "[bound] raw_bound_oracle minimises the high-frequency estimate and"
+        " requires variant infinity_ck or infinity_smooth",
+        "[growth] alpha must be positive",
+    ]),
+    ("""
+[experiment]
+name = bound_table
+[bound]
+variant = zero_infinity_ck
+k = 0
+[decay]
+family = gaussian
+""", [
+        "[bound] k must be a positive integer",
+        "variant zero_infinity_ck requires section [growth]",
+        "[decay] family must be one of power, exponential, constant",
+    ]),
+    ("""
+[experiment]
+name = asymptotic_regularity
+[scenario]
+family = single_mode
+lambda_re = -1
+colour = red
+[kernel]
+name = fudge
+[grid]
+spacing = cubic
+""", [
+        "unknown key 'colour' in section [scenario]",
+        "[grid] spacing='cubic' must be one of log, linear",
+        "[kernel] fudge is inadmissible for asymptotic_regularity: its"
+        " transform is not identically 1 near 0",
+    ]),
+    ("""
+[experiment]
+name = bogus
+[kernel]
+name = fudge
+[grid]
+points = 0
+min = 5
+max = 1
+[bound]
+variant = infinity_smooth
+k = 2
+[tolerances]
+abs_tol = -1
+""", [
+        "[experiment] name='bogus' must be one of bound_table, kernel_check,"
+        " parseval, mollifier_rate, asymptotic_regularity, compare_decay,"
+        " raw_bound_oracle",
+        "[tolerances] abs_tol and rel_tol must be positive",
+        "[bound] k applies only to finite-smoothness (ck) variants",
+    ]),
+]
 
 
 def write_config(tmp_path, text, name="config.ini"):
@@ -259,6 +352,15 @@ class TestConfigParsing:
         errors = excinfo.value.errors
         assert "variant zero_infinity_ck requires section [growth]" in errors
         assert "variant zero_infinity_ck requires section [decay]" in errors
+
+    @pytest.mark.parametrize("text,expected", CONFIG_ERROR_CORPUS,
+                             ids=[text.split()[3] for text, _ in CONFIG_ERROR_CORPUS])
+    def test_experiment_rules_keep_their_messages_and_order(self, text, expected):
+        # each experiment-specific rule mixed with errors of other sections:
+        # the whole list, in order, is part of the interface
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(text)
+        assert excinfo.value.errors == expected
 
     @settings(max_examples=25, deadline=None)
     @given(c=st.floats(min_value=1e-3, max_value=0.499))
@@ -422,6 +524,18 @@ spacing = log
 
 
 class TestExitCodes:
+    def test_model_too_large_to_allocate_exits_two(self, tmp_path, capsys):
+        # 8e15 bytes lie beyond a 47-bit address space: the allocation is
+        # refused under any overcommit policy, before anything is allocated
+        text = ("[scenario]\nfamily = cluster_infinity\nn_modes = 1000000000000000\n"
+                "orbit = ainv\n[bound]\nvariant = infinity_smooth\n")
+        out = tmp_path / "huge"
+        assert cli.run(parse_config(text, experiment="compare_decay",
+                                    overrides={"out": str(out)})) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: [semigroup_lab] MemoryError: Unable to allocate 7.11 PiB")
+        assert list(tmp_path.iterdir()) == []
+
     def test_passing_run_exits_zero(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, PARSEVAL_SINGLE_MODE)
         out = tmp_path / "pv"
@@ -569,7 +683,7 @@ variant = infinity_smooth
         assert "cannot write reports" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,experiment", sorted(
-        cli._SUBCOMMANDS.items()))
+        (record.command, name) for name, record in cli.EXPERIMENTS.items()))
     def test_each_subcommand_names_its_experiment(self, command, experiment,
                                                   capsys):
         # with no config every experiment is missing a required section,
@@ -583,3 +697,30 @@ variant = infinity_smooth
         out = tmp_path / "seeded"
         assert cli.main(["kernel", "--config", str(cfg_path),
                          "--out", str(out), "--seed", "7"]) == 0
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+class TestPinnedReports:
+    def test_rate_bounds_universe_matches_recorded_digests(self, tmp_path, monkeypatch):
+        # every op the rate_bounds benchmark can draw, through the same
+        # entry points, against the report digests recorded for it
+        monkeypatch.syspath_prepend(str(BENCH))
+        spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+        spec.loader.exec_module(workloads)
+        recorded = json.loads((BENCH / "digests.json").read_text(encoding="utf-8"))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("INGHAM_RATES_TOL", raising=False)
+        (tmp_path / "bench" / "_work").mkdir(parents=True)
+        base = tmp_path / workloads.REPORT_BASE
+        changed = []
+        for op in workloads.WORKLOADS["rate_bounds"].universe():
+            assert cli.run(parse_config(op.ini())) in (0, 1)
+            digests = [hashlib.sha256(base.with_suffix(suffix).read_bytes()).hexdigest()
+                       for suffix in (".csv", ".json")]
+            if digests != recorded[op.key]:
+                changed.append(op.params)
+        assert changed == []

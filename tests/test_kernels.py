@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
-from ingham_rates.cli import KERNEL_MATCH_TOLERANCE
 from ingham_rates.kernels import (
     _piecewise_kernel,
     bump_kernel,
@@ -28,6 +27,7 @@ from ingham_rates.kernels import (
     tent_kernel,
 )
 from ingham_rates.quadrature import EnvelopeError, integrate_oscillatory
+from ingham_rates.verify import KERNEL_MATCH_TOLERANCE
 
 TENT = tent_kernel()
 FUDGE = fudge_kernel()

@@ -276,6 +276,17 @@ class TestInversion:
             for x in rng.uniform(0.02, 1.0, size=100):
                 assert invert_monotone(f, float(f(x))) == pytest.approx(x, rel=1e-9)
 
+    def test_overflowing_bisection_leaves_the_error_state_alone(self):
+        # M(R) = exp(R^4) overflows at the first midpoint of the bracket
+        # [4, 8]; the bisection ignores that under its own errstate
+        f = ComposedRate(MonotoneFunction.exponential_growth(4.0), 1)
+        assert f(math.expm1(0.5 * (math.log1p(4.0) + math.log1p(8.0)))) == math.inf
+        before = np.geterr()
+        with np.errstate(over="raise", invalid="raise"):
+            x = invert_monotone(f, 1e200)
+        assert np.geterr() == before
+        assert f(x) == pytest.approx(1e200, rel=1e-9)
+
 
 class TestBounds:
     def test_constant_growth_ck_closed_form(self):

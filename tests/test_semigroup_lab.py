@@ -65,6 +65,21 @@ class TestConstruction:
         with pytest.raises(ValueError, match="omega"):
             Scenario(single_mode(-1.0), "vector", omega=bad)
 
+    @settings(max_examples=60, deadline=None)
+    @given(alpha=st.one_of(st.sampled_from([0.5, 1.0, 1.25, 1.5, 2.0]),
+                           st.floats(min_value=1e-3, max_value=20.0)),
+           n_modes=st.one_of(st.sampled_from([1, 7, 1000, 40000]),
+                             st.integers(min_value=1, max_value=5000)))
+    def test_clusters_filled_in_place_match_the_complex_expressions(self, alpha, n_modes):
+        # the eigenvalues are written into one complex array; they keep the
+        # bits of the complex expressions they replace
+        n = np.arange(1, n_modes + 1, dtype=float)
+        beta = alpha + 1.0
+        expected_inf = -(n ** (-alpha)) + 1j * n
+        expected_zero = -(n ** (-beta)) + 1j / n
+        assert cluster_infinity(alpha, n_modes).eigenvalues.tobytes() == expected_inf.tobytes()
+        assert cluster_zero(beta, n_modes).eigenvalues.tobytes() == expected_zero.tobytes()
+
     def test_cluster_infinity_eigenvalue_formula(self):
         op = cluster_infinity(0.5, 5)
         n = np.arange(1, 6)

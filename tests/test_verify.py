@@ -33,12 +33,16 @@ from ingham_rates.semigroup_lab import (
 from ingham_rates.verify import (
     AdmissibilityError,
     TruncationRangeError,
+    bound_table_report,
     check_asymptotic_regularity,
     check_mollifier_rate,
     check_parseval,
     compare_decay,
     convolution_defect_profile,
     fit_loglog,
+    kernel_check_report,
+    parseval_report,
+    raw_oracle_report,
 )
 
 TENT = tent_kernel()
@@ -686,3 +690,42 @@ class TestFitLoglog:
                 fit_loglog([(1, 1), (2, 2), (3, bad), (4, 4), (5, 5)])
             with pytest.raises(ValueError, match="positive finite"):
                 fit_loglog([(1, 1), (2, 2), (bad, 3), (4, 4), (5, 5)])
+
+
+class TestReportBuilders:
+    """The pass rules of the CLI's closed-form experiments, on made-up arrays."""
+
+    T = np.geomspace(10.0, 1e4, 61)
+
+    def test_bound_table_passes_a_bound_of_the_expected_slope(self):
+        report = bound_table_report(self.T, self.T ** -0.5, -0.5, {"variant": "v"})
+        assert report.passed
+        assert report.slopes["bound"][0] == pytest.approx(-0.5)
+        assert report.metadata == {"variant": "v", "expected_slope": -0.5}
+        assert report.rows[0] == (10.0, 10.0 ** -0.5, 10.0 ** -0.5, 1.0)
+
+    def test_bound_table_names_each_broken_rule(self):
+        assert bound_table_report(self.T, self.T ** -0.5, -1.0, {}).failures == [
+            "fitted slope -0.5000 deviates from the closed-form exponent -1.0000"
+            " by more than 0.05"]
+        rising = bound_table_report(self.T, self.T - 20.0, None, {})
+        assert rising.failures == ["bound values must be positive",
+                                   "bound values must be non-increasing in t"]
+        assert rising.metadata == {} and rising.rows[0][2] == 1.0
+
+    def test_kernel_check_compares_against_the_closed_form(self):
+        s = np.array([0.0, 1.5, 3.0])
+        closed = np.array([float(TENT.freq_eval(np.asarray(v))) for v in s])
+        report = kernel_check_report(TENT, s, closed + 2e-6)
+        assert report.failures == ["numeric transform deviates from the closed form"
+                                   " by 2.000e-06 (tolerance 1e-06)"]
+        assert math.isnan(report.rows[2][3])  # the closed form vanishes at s = 3
+        assert kernel_check_report(TENT, s, closed).passed
+
+    def test_parseval_and_raw_oracle_fail_per_point(self):
+        t = np.array([1.0, 2.0])
+        assert parseval_report(t, [1e-7, 2e-6], {}).failures == [
+            "residual 2.000e-06 at t=2 exceeds 1e-06"]
+        report = raw_oracle_report(t, np.array([1.0, 20.0]), np.array([1.0, 1.0]), {})
+        assert report.failures == ["raw/closed ratio 20 at t=2 leaves [0.1, 10]"]
+        assert report.rows[1] == (2.0, 20.0, 1.0, 20.0)

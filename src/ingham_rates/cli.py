@@ -55,7 +55,9 @@ from .kernels import Kernel, bump_kernel, fudge_kernel, numeric_fourier, tent_ke
 from .quadrature import NonConvergenceError, QuadratureSpec
 from .rate_functions import (
     MonotoneFunction,
+    RateBound,
     VARIANTS,
+    _VARIANTS,
     _admissible_c,
     make_bound,
     raw_bound_ck,
@@ -137,17 +139,18 @@ class Experiment:
     """One experiment of :data:`EXPERIMENTS`: all the CLI knows of it.
 
     ``grid`` holds the ``[grid]`` defaults (min, max, points, spacing), or
-    None where ``[r_sweep]`` radii replace the grid.  Kernels outside
-    ``kernels`` lack a plateau at 0 and are refused, as are variants outside
-    ``variants``, with ``variants_reason``.  With ``rate_sections`` the
-    variant names the ``[growth]`` and ``[decay]`` sections it needs.
+    None where ``[r_sweep]`` radii replace the grid; the section it does
+    not read is refused.  With ``plateau`` a kernel whose transform is not
+    1 near 0 is refused.  Variants outside ``variants`` are refused with
+    ``variants_reason``.  With ``rate_sections`` the ``[growth]`` and
+    ``[decay]`` sections the variant composes are required.
     """
 
     command: str
     sections: tuple
     grid: Optional[tuple]
     runner: Callable[[RunConfig], ExperimentReport]
-    kernels: tuple = tuple(_KERNELS)
+    plateau: bool = False
     variants: tuple = VARIANTS
     variants_reason: str = ""
     rate_sections: bool = False
@@ -266,6 +269,9 @@ def parse_config(text: str, experiment: Optional[str] = None,
         for section in exp.sections:
             if section not in cfg:
                 errors.append(f"experiment {name} requires section [{section}]")
+        unread = "grid" if exp.grid is None else "r_sweep"
+        if unread in cfg:
+            errors.append(f"experiment {name} does not read section [{unread}]")
     elif name is None:
         errors.append("[experiment] name is required"
                       " (or choose a subcommand)")
@@ -333,7 +339,8 @@ def parse_config(text: str, experiment: Optional[str] = None,
         kern.update(cfg["kernel"])
         cfg["kernel"] = kern
         _check_enum(cfg, "kernel", "name", tuple(_KERNELS), errors)
-        if exp is not None and kern["name"] in _KERNELS and kern["name"] not in exp.kernels:
+        if (exp is not None and exp.plateau and kern["name"] in _KERNELS
+                and not _KERNELS[kern["name"]]().flat_near_zero):
             errors.append(
                 f"[kernel] {kern['name']} is inadmissible for {name}:"
                 " its transform is not identically 1 near 0"
@@ -348,12 +355,13 @@ def parse_config(text: str, experiment: Optional[str] = None,
                 f"[bound] variant={variant!r} must be one of {', '.join(VARIANTS)}"
             )
         else:
-            is_ck = variant.endswith("_ck")
-            if not is_ck and "k" in cfg["bound"]:
-                errors.append("[bound] k applies only to finite-smoothness"
-                              " (ck) variants")
-            if is_ck and cfg["bound"].get("k", 1) < 1:
-                errors.append("[bound] k must be a positive integer")
+            spec = _VARIANTS[variant]
+            if "k" in cfg["bound"]:
+                if not spec.ck:
+                    errors.append("[bound] k applies only to finite-smoothness"
+                                  " (ck) variants")
+                elif cfg["bound"]["k"] < 1:
+                    errors.append("[bound] k must be a positive integer")
             if "c" in cfg["bound"]:
                 try:
                     _admissible_c(variant, cfg["bound"]["c"])
@@ -362,13 +370,10 @@ def parse_config(text: str, experiment: Optional[str] = None,
             if exp is not None and variant not in exp.variants:
                 errors.append(f"[bound] {name} {exp.variants_reason} and requires"
                               f" variant {' or '.join(exp.variants)}")
-
-    if exp is not None and exp.rate_sections and "bound" in cfg:
-        variant = cfg["bound"].get("variant", "")
-        if variant.startswith(("infinity", "zero_infinity")) and "growth" not in cfg:
-            errors.append(f"variant {variant} requires section [growth]")
-        if variant.startswith("zero") and "decay" not in cfg:
-            errors.append(f"variant {variant} requires section [decay]")
+            if exp is not None and exp.rate_sections:
+                for section in ("growth", "decay"):
+                    if getattr(spec, section) and section not in cfg:
+                        errors.append(f"variant {variant} requires section [{section}]")
 
     for section in ("growth", "decay"):
         if section in cfg:
@@ -420,16 +425,16 @@ def _rate_function(cfg: RunConfig, section: str) -> MonotoneFunction:
     return make(spec["value"] if spec["family"] == "constant" else spec["alpha"])
 
 
-def _expected_power_slope(cfg: RunConfig, variant: str) -> Optional[float]:
+def _expected_power_slope(cfg: RunConfig, bound: RateBound) -> Optional[float]:
     """Closed-form decay exponent for single-sided power-law ck bounds."""
-    if not variant.endswith("_ck") or variant.startswith("zero_infinity"):
+    spec = _VARIANTS[bound.variant]
+    if not spec.ck or spec.growth == spec.decay:
         return None
-    section = "growth" if variant.startswith("infinity") else "decay"
-    if cfg.sections.get(section, {}).get("family") != "power":
+    section = "growth" if spec.growth else "decay"
+    if cfg[section]["family"] != "power":
         return None
-    alpha = cfg[section]["alpha"]
-    k = cfg["bound"].get("k", 1)
-    offset = 2.0 if variant.startswith("infinity") else 1.0
+    alpha, k = cfg[section]["alpha"], bound.k
+    offset = 2.0 if spec.growth else 1.0
     return -k / (alpha * (k + 1) + offset)
 
 
@@ -451,7 +456,7 @@ def _bound_on_grid(cfg: RunConfig):
 def _run_bound_table(cfg: RunConfig) -> ExperimentReport:
     bound, ts = _bound_on_grid(cfg)
     meta = {"variant": bound.variant, "c": bound.c, "k": bound.k, "t_min": bound.t_min}
-    return bound_table_report(ts, bound(ts), _expected_power_slope(cfg, bound.variant), meta)
+    return bound_table_report(ts, bound(ts), _expected_power_slope(cfg, bound), meta)
 
 
 def _run_kernel_check(cfg: RunConfig) -> ExperimentReport:
@@ -485,14 +490,14 @@ def _run_regularity(cfg: RunConfig) -> ExperimentReport:
 def _run_compare_decay(cfg: RunConfig) -> ExperimentReport:
     return compare_decay(
         _make_scenario(cfg), cfg["bound"]["variant"],
-        c=cfg["bound"].get("c"), k=cfg["bound"].get("k", 1),
+        c=cfg["bound"].get("c"), k=cfg["bound"].get("k"),
         t_grid=_grid_values(cfg))
 
 
 def _run_raw_oracle(cfg: RunConfig) -> ExperimentReport:
     bound, ts = _bound_on_grid(cfg)
     closed, inverse = bound.evaluate(ts)
-    if bound.variant == "infinity_ck":
+    if bound.k is not None:
         raws, _ = raw_bound_ck(bound.growth, bound.k, bound.c, ts, inverse=inverse)
     else:
         raws, _ = raw_bound_smooth(bound.growth, bound.c, ts, inverse=inverse)
@@ -511,7 +516,7 @@ EXPERIMENTS = {
     "mollifier_rate": Experiment("mollifier", ("scenario", "kernel"), None, _run_mollifier),
     "asymptotic_regularity": Experiment("regularity", ("scenario", "kernel"),
                                         (10.0, 1e3, 41, "log"), _run_regularity,
-                                        kernels=("tent", "bump")),
+                                        plateau=True),
     "compare_decay": Experiment("decay", ("scenario", "bound"), (10.0, 1e4, 61, "log"),
                                 _run_compare_decay),
     "raw_bound_oracle": Experiment("oracle", ("growth", "bound"), (100.0, 1e4, 21, "log"),

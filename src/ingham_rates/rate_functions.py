@@ -42,23 +42,33 @@ __all__ = [
     "raw_bound_smooth",
 ]
 
-VARIANTS = (
-    "infinity_ck",
-    "infinity_smooth",
-    "zero_ck",
-    "zero_smooth",
-    "zero_infinity_ck",
-    "zero_infinity_smooth",
-)
+@dataclass(frozen=True)
+class _Variant:
+    """What one of the six estimates composes and admits.
 
-_C_RANGES = {
-    "infinity_ck": (0.0, math.inf, 1.0),
-    "zero_ck": (0.0, math.inf, 1.0),
-    "zero_infinity_ck": (0.0, math.inf, 1.0),
-    "infinity_smooth": (0.0, 0.5, 0.45),
-    "zero_infinity_smooth": (0.0, 0.5, 0.45),
-    "zero_smooth": (0.0, 1.0, 0.9),
+    ``growth`` and ``decay`` say which rates it composes, ``ck`` whether its
+    smoothness is a finite order k (else unlimited), ``c_max`` and
+    ``c_default`` the upper end of its interval (0, c_max) for c and the c
+    it takes when none is given, and ``inverse_t`` whether its bound adds 1/t.
+    """
+
+    growth: bool
+    decay: bool
+    ck: bool
+    c_max: float
+    c_default: float
+    inverse_t: bool
+
+
+_VARIANTS = {
+    "infinity_ck": _Variant(True, False, True, math.inf, 1.0, False),
+    "infinity_smooth": _Variant(True, False, False, 0.5, 0.45, False),
+    "zero_ck": _Variant(False, True, True, math.inf, 1.0, True),
+    "zero_smooth": _Variant(False, True, False, 1.0, 0.9, True),
+    "zero_infinity_ck": _Variant(True, True, True, math.inf, 1.0, False),
+    "zero_infinity_smooth": _Variant(True, True, False, 0.5, 0.45, True),
 }
+VARIANTS = tuple(_VARIANTS)
 
 
 class InversionRangeError(ValueError):
@@ -425,10 +435,11 @@ def invert_monotone(f, y: float) -> float:
 
 
 def _admissible_c(variant: str, c: Optional[float]) -> float:
-    lo, hi, default = _C_RANGES[variant]
+    spec = _VARIANTS[variant]
+    hi = spec.c_max
     if c is None:
-        return default
-    if not (lo < c < hi):
+        return spec.c_default
+    if not (0.0 < c < hi):
         interval = "(0, inf)" if math.isinf(hi) else f"(0, {hi:g})".replace("0.5", "1/2")
         raise InadmissibleConstantError(
             f"c={c!r} outside admissible interval {interval} for variant {variant}"
@@ -488,7 +499,7 @@ class RateBound:
             total += decay_x
         if growth_x is not None:
             total += 1.0 / growth_x
-        if self.variant in ("zero_ck", "zero_smooth", "zero_infinity_smooth"):
+        if _VARIANTS[self.variant].inverse_t:
             total += 1.0 / flat
         if growth_x is not None:
             growth_x = _ret(growth_x.reshape(arr.shape), scalar)
@@ -504,55 +515,42 @@ def make_bound(
 ) -> RateBound:
     """Build the decay bound for one of the six estimate variants.
 
-    ``infinity_*`` variants need ``growth``; ``zero_*`` variants need
-    ``decay``; ``zero_infinity_*`` need both.  ``k`` is required (default 1)
-    for the finite-smoothness variants and must be omitted otherwise.  The
-    admissible interval for ``c`` is (0, inf) for finite smoothness,
-    (0, 1/2) for ``infinity_smooth`` and ``zero_infinity_smooth``, and
-    (0, 1) for ``zero_smooth``.
+    The variant's record in ``_VARIANTS`` names the rates it needs:
+    ``growth`` for ``infinity_*``, ``decay`` for ``zero_*``, both for
+    ``zero_infinity_*``.  It also says whether ``k`` applies (default 1),
+    which only finite smoothness (``*_ck``) admits, and gives c its interval
+    (0, c_max): (0, inf) for finite smoothness, (0, 1/2) for
+    ``infinity_smooth`` and ``zero_infinity_smooth``, (0, 1) for ``zero_smooth``.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    spec = _VARIANTS[variant]
     c_val = _admissible_c(variant, c)
-    is_ck = variant.endswith("_ck")
-    if is_ck:
+    if spec.ck:
         k_val = 1 if k is None else k
         _require_k(k_val)
+    elif k is not None:
+        raise ValueError("k applies only to finite-smoothness (ck) variants")
     else:
-        if k is not None:
-            raise ValueError("k applies only to finite-smoothness (ck) variants")
         k_val = None
 
-    needs_growth = variant.startswith(("infinity", "zero_infinity"))
-    needs_decay = variant.startswith(("zero",))
-    growth_fn = decay_fn = None
-    if needs_growth:
-        if growth is None:
-            raise ValueError(f"variant {variant} requires a growth rate function")
-        _require_kind(growth, "growth")
-        growth_fn = ComposedRate(growth, k_val)
-    if needs_decay:
-        if decay is None:
-            raise ValueError(f"variant {variant} requires a decay rate function")
-        _require_kind(decay, "decay")
-        decay_fn = ComposedRate(decay, k_val)
-
-    parts = []
-    if growth_fn is not None:
-        parts.append(float(growth_fn(1.0)) / c_val)
-    if decay_fn is not None:
-        parts.append(float(decay_fn(1.0)) / c_val)
-    t_min = max(parts)
+    composed = {}
+    for kind, source in (("growth", growth), ("decay", decay)):
+        if getattr(spec, kind):
+            if source is None:
+                raise ValueError(f"variant {variant} requires a {kind} rate function")
+            _require_kind(source, kind)
+            composed[kind] = ComposedRate(source, k_val)
 
     return RateBound(
         variant=variant,
         c=c_val,
         k=k_val,
-        growth=growth if needs_growth else None,
-        decay=decay if needs_decay else None,
-        t_min=t_min,
-        _growth_fn=growth_fn,
-        _decay_fn=decay_fn,
+        growth=growth if spec.growth else None,
+        decay=decay if spec.decay else None,
+        t_min=max(float(fn(1.0)) / c_val for fn in composed.values()),
+        _growth_fn=composed.get("growth"),
+        _decay_fn=composed.get("decay"),
     )
 
 

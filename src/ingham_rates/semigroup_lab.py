@@ -29,7 +29,7 @@ decay envelopes over r <= |s| <= 1 with the clamp max(1, 1/r).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -76,16 +76,15 @@ _OUTER = np.arange(2 * _PAD)
 class DiagonalOperator:
     """Eigenvalues of a diagonal generator, all strictly in Re < 0.
 
-    ``family_index`` carries each mode's index within its generating
-    family and ``family_size`` the family's mode count; both default to a
-    single family numbered 1..N.  They let experiments detect when a
+    ``families`` holds the mode counts of the generating families, whose
+    modes follow one another in that order; the default is one family of
+    all N modes.  :meth:`family_of` lets experiments detect when a
     maximising mode drifts into the truncated half of a family.
     """
 
     eigenvalues: np.ndarray
     label: str = ""
-    family_index: np.ndarray = field(default=None)
-    family_size: np.ndarray = field(default=None)
+    families: Optional[tuple] = None
 
     def __post_init__(self) -> None:
         eig = np.atleast_1d(np.asarray(self.eigenvalues, dtype=complex))
@@ -96,20 +95,26 @@ class DiagonalOperator:
         if np.any(eig.real >= 0.0):
             raise ValueError("eigenvalues must have strictly negative real part")
         object.__setattr__(self, "eigenvalues", eig)
-        if self.family_index is None:
-            object.__setattr__(self, "family_index", np.arange(1, eig.size + 1))
-        else:
-            object.__setattr__(self, "family_index", np.asarray(self.family_index, dtype=int))
-        if self.family_size is None:
-            object.__setattr__(self, "family_size", np.full(eig.size, eig.size, dtype=int))
-        else:
-            object.__setattr__(self, "family_size", np.asarray(self.family_size, dtype=int))
-        if self.family_index.shape != eig.shape or self.family_size.shape != eig.shape:
-            raise ValueError("family bookkeeping must match the eigenvalue count")
+        families = (eig.size,) if self.families is None else tuple(self.families)
+        if not (families and all(isinstance(n, (int, np.integer)) and n >= 1 for n in families)
+                and sum(families) == eig.size):
+            raise ValueError("family mode counts must be positive integers that add up"
+                             " to the eigenvalue count")
+        object.__setattr__(self, "families", tuple(map(int, families)))
 
     @property
     def size(self) -> int:
         return int(self.eigenvalues.size)
+
+    def family_of(self, mode: int) -> tuple[int, int]:
+        """The 1-based index of ``mode`` (0-based, in the operator) within
+        its family, and the family's mode count."""
+        if not 0 <= mode < self.size:
+            raise IndexError(f"mode {mode} outside 0..{self.size - 1}")
+        for size in self.families:
+            if mode < size:
+                return mode + 1, size
+            mode -= size
 
 
 def single_mode(eigenvalue: complex) -> DiagonalOperator:
@@ -151,8 +156,7 @@ def mixed_cluster(alpha: float, beta: float, n_infinity: int, n_zero: int) -> Di
     return DiagonalOperator(
         np.concatenate([a.eigenvalues, b.eigenvalues]),
         label=f"mixed(alpha={alpha:g}, beta={beta:g}, N={n_infinity}+{n_zero})",
-        family_index=np.concatenate([a.family_index, b.family_index]),
-        family_size=np.concatenate([a.family_size, b.family_size]),
+        families=(n_infinity, n_zero),
     )
 
 
@@ -369,9 +373,7 @@ def orbit_argmax(scenario: Scenario, t: float) -> tuple[float, int, int]:
     sigma = scenario.operator.eigenvalues.real
     profile = amps * np.exp(sigma * t)
     idx = int(np.argmax(profile))
-    return (float(profile[idx]),
-            int(scenario.operator.family_index[idx]),
-            int(scenario.operator.family_size[idx]))
+    return (float(profile[idx]),) + scenario.operator.family_of(idx)
 
 
 def resolvent_norm(operator: DiagonalOperator, s: float) -> float:

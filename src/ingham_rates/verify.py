@@ -40,7 +40,7 @@ from .kernels import _CHUNK, Kernel, _jump_terms
 # bound by name for bench/tracing.py, which wraps verify.tail_integral
 from .kernels import tail_integral  # noqa: F401
 from .quadrature import NonConvergenceError, QuadratureSpec, integrate
-from .rate_functions import make_bound
+from .rate_functions import _VARIANTS, make_bound
 from .semigroup_lab import (
     Scenario,
     _orbit_sweep,
@@ -333,7 +333,6 @@ def check_asymptotic_regularity(
     scenario: Scenario,
     kernel: Kernel,
     t_grid: Optional[np.ndarray] = None,
-    second_kernel: Optional[Kernel] = None,
     stability_limit: Optional[float] = None,
 ) -> ExperimentReport:
     """Profile t * ||f - f*phi|| for a plateau kernel on a damped model.
@@ -341,9 +340,7 @@ def check_asymptotic_regularity(
     Requires a kernel whose transform is identically 1 near 0 (the plateau
     makes low frequencies exact) and a scenario with |Im lambda| <= 1 so
     all spectral content sits in the damped region.  Rows are
-    (t, defect, 1/t, t * defect).  When ``second_kernel`` is given its
-    sweep is repeated and summarised in the metadata, demonstrating that
-    admissible kernels agree about regularity up to constants.
+    (t, defect, 1/t, t * defect).
 
     The C/t envelope is an upper bound, so a ``stability_limit`` of 2
     holds only where it is attained: a mode at the plateau edge, such as
@@ -351,12 +348,11 @@ def check_asymptotic_regularity(
     whose modes are all damped well away from the edge, such as
     ``cluster_zero(2, 100)``, decay faster than 1/t and fail it by design.
     """
-    for k in (kernel,) + ((second_kernel,) if second_kernel is not None else ()):
-        if not k.flat_near_zero:
-            raise AdmissibilityError(
-                f"kernel {k.name!r} is inadmissible: its transform is not"
-                " identically 1 near 0"
-            )
+    if not kernel.flat_near_zero:
+        raise AdmissibilityError(
+            f"kernel {kernel.name!r} is inadmissible: its transform is not"
+            " identically 1 near 0"
+        )
     lam = scenario.operator.eigenvalues
     if np.any(np.abs(lam.imag) > 1.0):
         raise ValueError("asymptotic regularity model needs |Im lambda| <= 1")
@@ -378,24 +374,6 @@ def check_asymptotic_regularity(
         failures.append(
             f"t*defect stability {stability:.3g} exceeds {stability_limit:g}"
         )
-    metadata = {
-        "experiment": "asymptotic_regularity",
-        "scenario": scenario.operator.label,
-        "orbit": scenario.orbit_kind,
-        "kernel": kernel.name,
-        "argmax_mode": [int(a) + 1 for a in arg],
-    }
-    if second_kernel is not None:
-        sup2, _ = convolution_defect_profile(lam, w, second_kernel, t_grid)
-        consts2 = t_grid * sup2
-        metadata["second_kernel"] = second_kernel.name
-        metadata["second_finite"] = bool(np.all(np.isfinite(consts2)))
-        metadata["second_stability"] = (
-            float(np.max(consts2) / np.min(consts2))
-            if np.all(consts2 > 0.0) else math.inf
-        )
-        if not metadata["second_finite"]:
-            failures.append("second kernel produced non-finite constants")
     try:
         slope = fit_loglog([(r[0], r[1]) for r in rows])
     except ValueError:
@@ -405,7 +383,13 @@ def check_asymptotic_regularity(
         slopes={"defect": slope} if slope is not None else {},
         constant_stability=stability,
         failures=failures,
-        metadata=metadata,
+        metadata={
+            "experiment": "asymptotic_regularity",
+            "scenario": scenario.operator.label,
+            "orbit": scenario.orbit_kind,
+            "kernel": kernel.name,
+            "argmax_mode": [int(a) + 1 for a in arg],
+        },
     )
 
 
@@ -421,7 +405,7 @@ def compare_decay(
     scenario: Scenario,
     variant: str,
     c: Optional[float] = None,
-    k: int = 1,
+    k: Optional[int] = None,
     t_grid: Optional[np.ndarray] = None,
 ) -> ExperimentReport:
     """Measured orbit norm against the predicted rate bound on a log grid.
@@ -429,24 +413,21 @@ def compare_decay(
     Builds the resolvent envelopes the variant needs (growth envelopes for
     combined variants start at s = 1, where the low-frequency singularity
     hands over to the decay envelope), constructs the rate bound, and
-    reports rows (t, measured, bound, ratio).  Pass criteria: the ratio's
+    reports rows (t, measured, bound, ratio); ``k`` goes to
+    :func:`make_bound` as given.  Pass criteria: the ratio's
     maximum over the last decade does not exceed its median over the first
     decade, and the measured slope is at most the bound slope + 0.05, both
     fitted on the last two decades.
     """
-    op = scenario.operator
-    growth = decay = None
-    if variant in ("infinity_ck", "infinity_smooth"):
-        growth = resolvent_envelope_growth(op)
-    elif variant in ("zero_ck", "zero_smooth"):
-        decay = resolvent_envelope_decay(op)
-    elif variant in ("zero_infinity_ck", "zero_infinity_smooth"):
-        growth = resolvent_envelope_growth(op, s_min=1.0)
-        decay = resolvent_envelope_decay(op)
-    else:
+    spec, op = _VARIANTS.get(variant), scenario.operator
+    if spec is None:
         raise ValueError(f"unknown variant {variant!r}")
-    k_arg = k if variant.endswith("_ck") else None
-    bound = make_bound(variant, c=c, k=k_arg, growth=growth, decay=decay)
+    growth = decay = None
+    if spec.growth:
+        growth = resolvent_envelope_growth(op, s_min=1.0 if spec.decay else 0.0)
+    if spec.decay:
+        decay = resolvent_envelope_decay(op)
+    bound = make_bound(variant, c=c, k=k, growth=growth, decay=decay)
     if t_grid is None:
         lo = max(10.0, bound.t_min * 1.05)
         t_grid = np.geomspace(lo, 1e4, max(5, int(round(20 * math.log10(1e4 / lo))) + 1))
@@ -466,7 +447,7 @@ def compare_decay(
         )
     measured, edge_modes = _orbit_sweep(scenario, t_grid, edges=True)
     for t_edge, mode in zip((t_grid[0], t_grid[-1]), edge_modes):
-        idx, size = int(op.family_index[mode]), int(op.family_size[mode])
+        idx, size = op.family_of(mode)
         if size >= 4 and idx > size // 2:
             raise TruncationRangeError(
                 f"maximising mode {idx} of {size} at t={t_edge:g} sits in the"

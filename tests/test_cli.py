@@ -14,6 +14,7 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -104,8 +105,9 @@ name = tent
 """
 
 
-CONFIG_ERROR_CORPUS = [
-    ("""
+# experiment-specific rules mixed with errors of other sections, by case name
+CONFIG_ERROR_CORPUS = {
+    "mollifier_rate": ("""
 [experiment]
 name = mollifier_rate
 [scenario]
@@ -124,7 +126,7 @@ t_max = 0.5
         "[scenario] n_modes must be at least 1",
         "[kernel] name='gaussian' must be one of tent, fudge, bump",
     ]),
-    ("""
+    "raw_bound_oracle": ("""
 [experiment]
 name = raw_bound_oracle
 [growth]
@@ -139,7 +141,7 @@ c = -1
         " requires variant infinity_ck or infinity_smooth",
         "[growth] alpha must be positive",
     ]),
-    ("""
+    "bound_table": ("""
 [experiment]
 name = bound_table
 [bound]
@@ -152,7 +154,7 @@ family = gaussian
         "variant zero_infinity_ck requires section [growth]",
         "[decay] family must be one of power, exponential, constant",
     ]),
-    ("""
+    "asymptotic_regularity": ("""
 [experiment]
 name = asymptotic_regularity
 [scenario]
@@ -169,7 +171,7 @@ spacing = cubic
         "[kernel] fudge is inadmissible for asymptotic_regularity: its"
         " transform is not identically 1 near 0",
     ]),
-    ("""
+    "bogus": ("""
 [experiment]
 name = bogus
 [kernel]
@@ -190,7 +192,47 @@ abs_tol = -1
         "[tolerances] abs_tol and rel_tol must be positive",
         "[bound] k applies only to finite-smoothness (ck) variants",
     ]),
-]
+    # the sweep reads [r_sweep], not [grid], and refuses the one it does not read
+    "mollifier_rate_grid": ("""
+[experiment]
+name = mollifier_rate
+[kernel]
+name = bump
+[grid]
+points = 0
+min = 5
+max = 1
+spacing = cubic
+[scenario]
+family = cluster_zero
+n_modes = 0
+""", [
+        "experiment mollifier_rate does not read section [grid]",
+        "[scenario] n_modes must be at least 1",
+    ]),
+    "kernel_check_r_sweep": ("""
+[experiment]
+name = kernel_check
+[r_sweep]
+values = banana
+[grid]
+points = 0
+""", [
+        "experiment kernel_check requires section [kernel]",
+        "experiment kernel_check does not read section [r_sweep]",
+        "[grid] points must be at least 1",
+    ]),
+    # an unknown variant names no rate sections, whatever its name says
+    "bound_table_unknown_variant": ("""
+[experiment]
+name = bound_table
+[bound]
+variant = infinity_foo
+""", [
+        "[bound] variant='infinity_foo' must be one of infinity_ck, infinity_smooth,"
+        " zero_ck, zero_smooth, zero_infinity_ck, zero_infinity_smooth",
+    ]),
+}
 
 
 def write_config(tmp_path, text, name="config.ini"):
@@ -339,6 +381,18 @@ class TestConfigParsing:
                            match="not identically 1 near 0"):
             parse_config(text, experiment="asymptotic_regularity")
 
+    @pytest.mark.parametrize("kernel", cli._KERNELS)
+    def test_regularity_admits_exactly_the_plateau_kernels(self, kernel):
+        text = f"[scenario]\nfamily = cluster_zero\n[kernel]\nname = {kernel}\n"
+        try:
+            parse_config(text, experiment="asymptotic_regularity")
+            admitted = True
+        except ConfigError:
+            admitted = False
+        made = cli._KERNELS[kernel]()
+        plateau = bool(np.all(made.freq(np.linspace(-0.25, 0.25, 11)) == 1.0))
+        assert admitted == made.flat_near_zero == plateau
+
     def test_raw_oracle_requires_high_frequency_variant(self):
         text = "[growth]\nfamily = power\n[bound]\nvariant = zero_ck\n"
         with pytest.raises(ConfigError,
@@ -353,10 +407,9 @@ class TestConfigParsing:
         assert "variant zero_infinity_ck requires section [growth]" in errors
         assert "variant zero_infinity_ck requires section [decay]" in errors
 
-    @pytest.mark.parametrize("text,expected", CONFIG_ERROR_CORPUS,
-                             ids=[text.split()[3] for text, _ in CONFIG_ERROR_CORPUS])
+    @pytest.mark.parametrize("text,expected", CONFIG_ERROR_CORPUS.values(),
+                             ids=CONFIG_ERROR_CORPUS.keys())
     def test_experiment_rules_keep_their_messages_and_order(self, text, expected):
-        # each experiment-specific rule mixed with errors of other sections:
         # the whole list, in order, is part of the interface
         with pytest.raises(ConfigError) as excinfo:
             parse_config(text)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ingham_rates.rate_functions import (
-    _C_RANGES,
+    _VARIANTS,
     BoundDomainError,
     ComposedRate,
     InadmissibleConstantError,
@@ -373,6 +373,30 @@ class TestBounds:
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="unknown variant"):
             make_bound("sideways_ck", growth=MonotoneFunction.power_growth(1.0))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_make_bound_follows_the_variant_record(self, variant):
+        # the record against the names, then make_bound against the record
+        spec = _VARIANTS[variant]
+        assert (spec.growth, spec.decay, spec.ck) == (
+            "infinity" in variant, variant.startswith("zero"), variant.endswith("_ck"))
+        rates = {"growth": MonotoneFunction.power_growth(1.0),
+                 "decay": MonotoneFunction.power_decay(1.0)}
+        bound = make_bound(variant, **rates)
+        for side in ("growth", "decay"):
+            assert (getattr(bound, side) is not None) == getattr(spec, side)
+            others = {key: fn for key, fn in rates.items() if key != side}
+            if getattr(spec, side):
+                with pytest.raises(ValueError, match=f"requires a {side} rate"):
+                    make_bound(variant, **others)
+            else:
+                assert make_bound(variant, **others).t_min == bound.t_min
+        assert bound.k == (1 if spec.ck else None)
+        if spec.ck:
+            assert make_bound(variant, k=3, **rates).k == 3
+        else:
+            with pytest.raises(ValueError, match="finite-smoothness"):
+                make_bound(variant, k=1, **rates)
 
     def test_variant_listing_is_stable(self):
         assert VARIANTS == ("infinity_ck", "infinity_smooth", "zero_ck",
@@ -747,11 +771,10 @@ class TestArrayInversion:
     def test_grid_equals_pointwise_and_reference(self, variant, family, alpha, k,
                                                  c_frac, factors):
         growth, decay = _rate_pair(family, alpha)
-        hi = _C_RANGES[variant][1]
+        hi = _VARIANTS[variant].c_max
         c = 10.0 * c_frac if math.isinf(hi) else hi * c_frac
-        ck = variant.endswith("_ck")
         bound = make_bound(variant, growth=growth, decay=decay, c=c,
-                           k=k if ck else None)
+                           k=k if _VARIANTS[variant].ck else None)
         ts = bound.t_min * np.array(factors)
         grid = _outcome(lambda: bound(ts).tolist())
         pointwise = _outcome(lambda: [bound(float(t)) for t in ts])

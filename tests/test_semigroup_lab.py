@@ -96,7 +96,22 @@ class TestConstruction:
         assert np.allclose(op.eigenvalues[:3], cluster_infinity(1.0, 3).eigenvalues)
         assert np.allclose(op.eigenvalues[3:], cluster_zero(2.0, 4).eigenvalues)
         # per-family bookkeeping survives the concatenation
-        assert set(op.family_size.tolist()) == {3, 4}
+        assert op.families == (3, 4)
+
+    def test_family_of_across_the_mixed_boundary(self):
+        op = mixed_cluster(1.0, 2.0, 3, 4)
+        assert [op.family_of(mode) for mode in range(7)] == [
+            (1, 3), (2, 3), (3, 3), (1, 4), (2, 4), (3, 4), (4, 4)]
+        assert single_mode(-1.0).families == (1,)
+        for mode in (-1, 7):
+            with pytest.raises(IndexError):
+                op.family_of(mode)
+
+    @pytest.mark.parametrize("families", [(3, 0, 4), (3, 3), (3, 5), (), (3.5, 3.5)])
+    def test_family_counts_must_be_positive_and_add_up(self, families):
+        eig = mixed_cluster(1.0, 2.0, 3, 4).eigenvalues
+        with pytest.raises(ValueError, match="family mode counts"):
+            DiagonalOperator(eig, families=families)
 
     def test_scenario_validation(self):
         op = single_mode(-1.0)
@@ -425,20 +440,18 @@ class TestOrbitSweep:
     def test_edge_maximisers_equal_orbit_argmax(self, kind):
         # two copies of a mixed cluster: every maximum is tied between the
         # copies (and between the families' first modes, which coincide),
-        # and np.argmax takes the first; the second copy's families are
-        # numbered and sized apart from the first's
+        # and np.argmax takes the first; the second copy's modes are split
+        # into families one mode apart from the first's, so each of its
+        # modes is numbered and sized apart from its twin
         op = mixed_cluster(1.0, 2.0, 3000, 600)
-        twice = DiagonalOperator(
-            np.tile(op.eigenvalues, 2),
-            family_index=np.concatenate([op.family_index, op.family_index + 1]),
-            family_size=np.concatenate([op.family_size, op.family_size + 1]))
+        twice = DiagonalOperator(np.tile(op.eigenvalues, 2), families=(3000, 600, 2999, 601))
         x = np.random.default_rng(3).normal(size=op.size)
         sc = Scenario(twice, kind, x=np.tile(x, 2))
         for t in (np.geomspace(1e-2, 1e4, 41), np.array([0.0, 5.0]), np.array([3.0])):
             _, modes = _orbit_sweep(sc, t, edges=True)
             for t_edge, mode in zip((t[0], t[-1]), modes):
                 _, idx, size = orbit_argmax(sc, t_edge)
-                assert (int(twice.family_index[mode]), int(twice.family_size[mode])) == (idx, size)
+                assert twice.family_of(mode) == (idx, size)
 
     def test_modes_tied_within_rounding_stay_on_both_sides(self):
         # the two live modes cross at tc, where rounding alone decides

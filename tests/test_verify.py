@@ -23,10 +23,12 @@ from ingham_rates.kernels import (
     tent_kernel,
 )
 from ingham_rates.quadrature import QuadratureSpec, integrate
+from ingham_rates.rate_functions import _VARIANTS, VARIANTS
 from ingham_rates.semigroup_lab import (
     Scenario,
     cluster_infinity,
     cluster_zero,
+    mixed_cluster,
     mode_weights,
     single_mode,
 )
@@ -536,19 +538,17 @@ class TestAsymptoticRegularity:
         scenario = Scenario(cluster_zero(2.0, 50), "vector")
         with pytest.raises(AdmissibilityError, match="identically 1 near 0"):
             check_asymptotic_regularity(scenario, FUDGE)
-        with pytest.raises(AdmissibilityError):
-            check_asymptotic_regularity(scenario, TENT, second_kernel=FUDGE)
 
     def test_high_frequency_scenarios_are_rejected(self):
         scenario = Scenario(cluster_infinity(1.0, 50), "vector")
         with pytest.raises(ValueError, match=r"Im lambda"):
             check_asymptotic_regularity(scenario, TENT)
 
-    def test_profile_rows_and_second_kernel(self):
+    @pytest.mark.parametrize("kernel", [TENT, BUMP], ids=["tent", "bump"])
+    def test_profile_rows_finite_and_stable(self, kernel):
         scenario = Scenario(cluster_zero(2.0, 100), "vector")
         t_grid = np.geomspace(10.0, 1e3, 21)
-        report = check_asymptotic_regularity(scenario, TENT, t_grid=t_grid,
-                                             second_kernel=BUMP)
+        report = check_asymptotic_regularity(scenario, kernel, t_grid=t_grid)
         assert len(report.rows) == 21
         for (t, defect, ref, product), t_expected in zip(report.rows, t_grid):
             assert t == pytest.approx(t_expected)
@@ -556,8 +556,7 @@ class TestAsymptoticRegularity:
             assert product == pytest.approx(t * defect, rel=1e-12)
         assert report.passed  # all values finite
         assert np.isfinite(report.constant_stability)
-        assert report.metadata["second_finite"]
-        assert np.isfinite(report.metadata["second_stability"])
+        assert report.metadata["kernel"] == kernel.name
 
     def test_stability_limit_is_enforced_honestly(self):
         # every mode of this model is damped well away from the plateau
@@ -605,6 +604,34 @@ class TestCompareDecay:
                                t_grid=np.geomspace(10.0, 1e3, 41))
         assert report.rows
         assert report.metadata["variant"] == "zero_ck"
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_builds_the_envelopes_its_variant_composes(self, monkeypatch, variant):
+        built = []
+
+        def spy(name):
+            make = getattr(verify, f"resolvent_envelope_{name}")
+
+            def counted(op, **kwargs):
+                built.append((name, kwargs.get("s_min")))
+                return make(op, **kwargs)
+            return counted
+
+        class Stop(Exception):
+            pass
+
+        def make_bound(variant, **kwargs):
+            raise Stop
+
+        for name in ("growth", "decay"):
+            monkeypatch.setattr(verify, f"resolvent_envelope_{name}", spy(name))
+        monkeypatch.setattr(verify, "make_bound", make_bound)
+        with pytest.raises(Stop):
+            compare_decay(Scenario(mixed_cluster(1.0, 2.0, 20, 20), "ainv"), variant)
+        spec = _VARIANTS[variant]
+        # a two-sided bound leaves |s| < 1 to the decay envelope
+        assert built == ([("growth", 1.0 if spec.decay else 0.0)] if spec.growth else []) \
+            + ([("decay", None)] if spec.decay else [])
 
     def test_grid_below_validity_threshold_rejected(self):
         scenario = Scenario(cluster_infinity(1.0, 2000), "ainv")

@@ -27,126 +27,14 @@ The package is organised in six modules:
     and JSON reports.
 """
 
-from .quadrature import (
-    EnvelopeError,
-    NonConvergenceError,
-    QuadResult,
-    QuadratureSpec,
-    integrate,
-    integrate_oscillatory,
-)
-from .rate_functions import (
-    BoundDomainError,
-    ComposedRate,
-    InadmissibleConstantError,
-    InversionRangeError,
-    MonotoneFunction,
-    RateBound,
-    SearchBracketError,
-    VARIANTS,
-    invert_monotone,
-    make_bound,
-    raw_bound_ck,
-    raw_bound_smooth,
-)
-from .kernels import (
-    Kernel,
-    bump_kernel,
-    fudge_kernel,
-    numeric_fourier,
-    tail_integral,
-    tent_kernel,
-)
-from .semigroup_lab import (
-    DiagonalOperator,
-    ORBIT_KINDS,
-    Scenario,
-    boundary_function,
-    cluster_infinity,
-    cluster_zero,
-    mixed_cluster,
-    mode_weights,
-    orbit_argmax,
-    orbit_norm,
-    resolvent_envelope_decay,
-    resolvent_envelope_growth,
-    resolvent_norm,
-    single_mode,
-)
-from .verify import (
-    AdmissibilityError,
-    ExperimentReport,
-    TruncationRangeError,
-    bound_table_report,
-    check_asymptotic_regularity,
-    check_mollifier_rate,
-    check_parseval,
-    compare_decay,
-    convolution_defect_profile,
-    fit_loglog,
-    kernel_check_report,
-    parseval_report,
-    raw_oracle_report,
-)
+from . import quadrature, rate_functions, kernels, semigroup_lab, verify
+from .quadrature import *  # noqa: F401,F403
+from .rate_functions import *  # noqa: F401,F403
+from .kernels import *  # noqa: F401,F403
+from .semigroup_lab import *  # noqa: F401,F403
+from .verify import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # quadrature
-    "QuadratureSpec",
-    "QuadResult",
-    "EnvelopeError",
-    "NonConvergenceError",
-    "integrate",
-    "integrate_oscillatory",
-    # rate functions
-    "MonotoneFunction",
-    "ComposedRate",
-    "RateBound",
-    "InversionRangeError",
-    "SearchBracketError",
-    "BoundDomainError",
-    "InadmissibleConstantError",
-    "VARIANTS",
-    "invert_monotone",
-    "make_bound",
-    "raw_bound_ck",
-    "raw_bound_smooth",
-    # kernels
-    "Kernel",
-    "tent_kernel",
-    "fudge_kernel",
-    "bump_kernel",
-    "numeric_fourier",
-    "tail_integral",
-    # semigroup lab
-    "DiagonalOperator",
-    "Scenario",
-    "ORBIT_KINDS",
-    "single_mode",
-    "cluster_infinity",
-    "cluster_zero",
-    "mixed_cluster",
-    "mode_weights",
-    "orbit_norm",
-    "orbit_argmax",
-    "resolvent_norm",
-    "boundary_function",
-    "resolvent_envelope_growth",
-    "resolvent_envelope_decay",
-    # verification experiments
-    "ExperimentReport",
-    "AdmissibilityError",
-    "TruncationRangeError",
-    "fit_loglog",
-    "convolution_defect_profile",
-    "check_parseval",
-    "check_mollifier_rate",
-    "check_asymptotic_regularity",
-    "compare_decay",
-    "bound_table_report",
-    "kernel_check_report",
-    "parseval_report",
-    "raw_oracle_report",
-]
+__all__ = ["__version__", *quadrature.__all__, *rate_functions.__all__, *kernels.__all__,
+           *semigroup_lab.__all__, *verify.__all__]

@@ -47,7 +47,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -89,23 +89,75 @@ __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
 
 _KERNELS = {"tent": tent_kernel, "fudge": fudge_kernel, "bump": bump_kernel}
 
+
+class Family(NamedTuple):
+    """One model family of a ``[scenario]``, ``[growth]`` or ``[decay]`` section.
+
+    ``build`` takes the values of ``keys`` (key -> default, whose type is the
+    key's type) in their order.  Each check ``(keys, test, message)`` reports
+    ``[<section>] <message>`` when ``test`` is false on those keys' values.
+    A family reads no key of its section beyond ``family``, its own keys and
+    the section's common ones (``_COMMON``).
+    """
+
+    build: Optional[Callable]
+    keys: dict
+    checks: tuple = ()
+
+
+_ALPHA = (("alpha",), lambda alpha: alpha > 0.0, "alpha must be positive")
+_BETA = (("beta",), lambda beta: beta > 1.0, "beta must exceed 1")
+_N_MODES = (("n_modes",), lambda n: n >= 1, "n_modes must be at least 1")
+
+# section -> family -> record, in the order the messages list them
+_FAMILIES = {
+    "scenario": {
+        "single_mode": Family(
+            lambda re, im: single_mode(complex(re, im)), {"lambda_re": -1.0, "lambda_im": 0.0},
+            ((("lambda_re",), lambda re: re < 0.0, "lambda_re must be negative"
+              " (eigenvalues lie in the open left half-plane)"),)),
+        "cluster_infinity": Family(cluster_infinity, {"alpha": 1.0, "n_modes": 100},
+                                   (_ALPHA, _N_MODES)),
+        "cluster_zero": Family(cluster_zero, {"beta": 2.0, "n_modes": 100}, (_BETA, _N_MODES)),
+        "mixed_cluster": Family(
+            mixed_cluster, {"alpha": 1.0, "beta": 2.0, "n_infinity": 100, "n_zero": 100},
+            (_ALPHA, _BETA, (("n_infinity", "n_zero"), lambda *counts: min(counts) >= 1,
+                             "n_infinity and n_zero must be at least 1"))),
+    },
+    **{side: {
+        "power": Family(getattr(MonotoneFunction, f"power_{side}"), {"alpha": 1.0}, (_ALPHA,)),
+        "exponential": Family(getattr(MonotoneFunction, f"exponential_{side}"), {"alpha": 1.0},
+                              (_ALPHA,)),
+        "constant": Family(getattr(MonotoneFunction, f"constant_{side}"), {"value": 1.0},
+                           ((("value",), lambda value: value >= 1.0,
+                             "value must be at least 1"),)),
+    } for side in ("growth", "decay")},
+}
+
+# section -> what every family of it reads besides ``family`` and its own
+# keys; its checks follow the family's own
+_COMMON = {
+    "scenario": Family(None, {"omega": 1.0, "orbit": "vector"}, (
+        (("omega",), lambda omega: omega > 0.0, "omega must be positive"),
+        (("orbit",), lambda orbit: orbit in ORBIT_KINDS,
+         f"orbit must be one of {', '.join(ORBIT_KINDS)}"),
+    )),
+    "growth": Family(None, {}),
+    "decay": Family(None, {}),
+}
+
+# a rate section's report echoes every rate family's default (the pinned
+# rate_bounds digests hold both)
+_RATE_DEFAULTS = {key: default for family in _FAMILIES["growth"].values()
+                  for key, default in family.keys.items()}
+
 # section -> key -> converter name; unknown sections and keys are rejected
 _SCHEMA = {
     "experiment": {"name": "str"},
-    "growth": {"family": "str", "alpha": "float", "value": "float"},
-    "decay": {"family": "str", "alpha": "float", "value": "float"},
-    "scenario": {
-        "family": "str",
-        "lambda_re": "float",
-        "lambda_im": "float",
-        "alpha": "float",
-        "beta": "float",
-        "n_modes": "int",
-        "n_infinity": "int",
-        "n_zero": "int",
-        "omega": "float",
-        "orbit": "str",
-    },
+    **{section: {"family": "str", **{key: type(default).__name__
+                                     for record in (*families.values(), _COMMON[section])
+                                     for key, default in record.keys.items()}}
+       for section, families in _FAMILIES.items()},
     "kernel": {"name": "str"},
     "bound": {"variant": "str", "c": "float", "k": "int"},
     "grid": {"min": "float", "max": "float", "points": "int", "spacing": "str"},
@@ -139,11 +191,12 @@ class Experiment:
     """One experiment of :data:`EXPERIMENTS`: all the CLI knows of it.
 
     ``grid`` holds the ``[grid]`` defaults (min, max, points, spacing), or
-    None where ``[r_sweep]`` radii replace the grid; the section it does
-    not read is refused.  With ``plateau`` a kernel whose transform is not
-    1 near 0 is refused.  Variants outside ``variants`` are refused with
-    ``variants_reason``.  With ``rate_sections`` the ``[growth]`` and
-    ``[decay]`` sections the variant composes are required.
+    None where ``[r_sweep]`` radii replace the grid.  With ``plateau`` a
+    kernel whose transform is not 1 near 0 is refused.  Variants outside
+    ``variants`` are refused with ``variants_reason``.  With
+    ``rate_sections`` the ``[growth]`` and ``[decay]`` sections the variant
+    composes are required.  Any other section is refused, except
+    ``[experiment]``, ``[output]`` and ``[tolerances]``.
     """
 
     command: str
@@ -188,48 +241,24 @@ def _check_enum(cfg: dict, section: str, key: str, allowed, errors: list) -> Non
         )
 
 
-def _validate_scenario(sc: dict, errors: list) -> None:
-    family = sc.get("family")
-    if family is None:
-        errors.append("[scenario] family is required")
-        return
-    if family == "single_mode":
-        if sc.get("lambda_re", -1.0) >= 0.0:
-            errors.append("[scenario] lambda_re must be negative"
-                          " (eigenvalues lie in the open left half-plane)")
-    elif family in ("cluster_infinity", "cluster_zero", "mixed_cluster"):
-        # alpha for the clusters at infinity, beta for those at zero
-        if family != "cluster_zero" and sc.get("alpha", 1.0) <= 0.0:
-            errors.append("[scenario] alpha must be positive")
-        if family != "cluster_infinity" and sc.get("beta", 2.0) <= 1.0:
-            errors.append("[scenario] beta must exceed 1")
-        if family != "mixed_cluster" and sc.get("n_modes", 1) < 1:
-            errors.append("[scenario] n_modes must be at least 1")
-        if family == "mixed_cluster" and min(sc.get("n_infinity", 1), sc.get("n_zero", 1)) < 1:
-            errors.append("[scenario] n_infinity and n_zero must be at least 1")
-    else:
-        errors.append(
-            "[scenario] family must be one of single_mode, cluster_infinity,"
-            " cluster_zero, mixed_cluster"
-        )
-    if sc.get("omega", 1.0) <= 0.0:
-        errors.append("[scenario] omega must be positive")
-    if sc.get("orbit", "vector") not in ORBIT_KINDS:
-        errors.append(f"[scenario] orbit must be one of {', '.join(ORBIT_KINDS)}")
-
-
-def _validate_rate_family(cfg: dict, section: str, errors: list) -> None:
-    fam = cfg.get(section, {}).get("family")
-    if fam is None:
+def _check_family(section: str, given: dict, errors: list) -> None:
+    """Check a family section's given keys: that its family reads them, then its checks."""
+    families, common = _FAMILIES[section], _COMMON[section]
+    name = given.get("family")
+    if name is None:
         errors.append(f"[{section}] family is required")
         return
-    if fam not in ("power", "exponential", "constant"):
-        errors.append(f"[{section}] family must be one of power, exponential, constant")
-        return
-    if fam in ("power", "exponential") and cfg[section].get("alpha", 1.0) <= 0.0:
-        errors.append(f"[{section}] alpha must be positive")
-    if fam == "constant" and cfg[section].get("value", 1.0) < 1.0:
-        errors.append(f"[{section}] value must be at least 1")
+    if name not in families:
+        errors.append(f"[{section}] family must be one of {', '.join(families)}")
+        records = (common,)
+    else:
+        records = (families[name], common)
+        errors.extend(f"[{section}] family {name} does not read key {key!r}" for key in given
+                      if key != "family" and key not in records[0].keys and key not in common.keys)
+    for record in records:
+        for keys, test, message in record.checks:
+            if not test(*(given.get(key, record.keys[key]) for key in keys)):
+                errors.append(f"[{section}] {message}")
 
 
 def parse_config(text: str, experiment: Optional[str] = None,
@@ -239,7 +268,8 @@ def parse_config(text: str, experiment: Optional[str] = None,
     ``experiment`` (from the subcommand) and ``overrides`` (from flags)
     take precedence over the corresponding config fields.  All validation
     problems are collected and raised together in a :class:`ConfigError`;
-    unknown sections and keys are rejected rather than ignored.
+    unknown sections and keys are rejected rather than ignored, and so are
+    the sections the experiment and the keys the family does not read.
     """
     parser = configparser.ConfigParser(interpolation=None)
     errors: list = []
@@ -269,9 +299,12 @@ def parse_config(text: str, experiment: Optional[str] = None,
         for section in exp.sections:
             if section not in cfg:
                 errors.append(f"experiment {name} requires section [{section}]")
-        unread = "grid" if exp.grid is None else "r_sweep"
-        if unread in cfg:
-            errors.append(f"experiment {name} does not read section [{unread}]")
+        reads = {*exp.sections, "experiment", "output", "tolerances",
+                 "r_sweep" if exp.grid is None else "grid",
+                 *(("growth", "decay") if exp.rate_sections else ())}
+        for section in [section for section in cfg if section not in reads]:
+            errors.append(f"experiment {name} does not read section [{section}]")
+            del cfg[section]  # and is checked no further
     elif name is None:
         errors.append("[experiment] name is required"
                       " (or choose a subcommand)")
@@ -329,10 +362,8 @@ def parse_config(text: str, experiment: Optional[str] = None,
             errors.append("[r_sweep] t_max must exceed 1")
 
     if "scenario" in cfg:
-        _validate_scenario(cfg["scenario"], errors)
-        base = {"omega": 1.0, "orbit": "vector"}
-        base.update(cfg["scenario"])
-        cfg["scenario"] = base
+        _check_family("scenario", cfg["scenario"], errors)
+        cfg["scenario"] = {**_COMMON["scenario"].keys, **cfg["scenario"]}
 
     if "kernel" in cfg:
         kern = {"name": "tent"}
@@ -374,13 +405,14 @@ def parse_config(text: str, experiment: Optional[str] = None,
                 for section in ("growth", "decay"):
                     if getattr(spec, section) and section not in cfg:
                         errors.append(f"variant {variant} requires section [{section}]")
+                    elif not getattr(spec, section) and section in cfg:
+                        errors.append(f"variant {variant} does not read section [{section}]")
+                        del cfg[section]
 
     for section in ("growth", "decay"):
         if section in cfg:
-            base = {"alpha": 1.0, "value": 1.0}
-            base.update(cfg[section])
-            cfg[section] = base
-            _validate_rate_family(cfg, section, errors)
+            _check_family(section, cfg[section], errors)
+            cfg[section] = {**_RATE_DEFAULTS, **cfg[section]}
 
     if errors:
         raise ConfigError(errors)
@@ -403,26 +435,16 @@ def _make_kernel(cfg: RunConfig) -> Kernel:
     return _KERNELS[cfg["kernel"]["name"]]()
 
 
+def _build(cfg: RunConfig, section: str):
+    """The model of a ``[scenario]``, ``[growth]`` or ``[decay]`` section, by its family record."""
+    given = cfg[section]
+    family = _FAMILIES[section][given["family"]]
+    return family.build(*(given.get(key, default) for key, default in family.keys.items()))
+
+
 def _make_scenario(cfg: RunConfig) -> Scenario:
     sc = cfg["scenario"]
-    family = sc["family"]
-    if family == "single_mode":
-        op = single_mode(complex(sc.get("lambda_re", -1.0), sc.get("lambda_im", 0.0)))
-    elif family == "cluster_infinity":
-        op = cluster_infinity(sc.get("alpha", 1.0), sc.get("n_modes", 100))
-    elif family == "cluster_zero":
-        op = cluster_zero(sc.get("beta", 2.0), sc.get("n_modes", 100))
-    else:
-        op = mixed_cluster(sc.get("alpha", 1.0), sc.get("beta", 2.0),
-                           sc.get("n_infinity", 100), sc.get("n_zero", 100))
-    return Scenario(op, sc["orbit"], omega=sc["omega"])
-
-
-def _rate_function(cfg: RunConfig, section: str) -> MonotoneFunction:
-    """The ``[growth]`` or ``[decay]`` rate: ``MonotoneFunction.<family>_<section>``."""
-    spec = cfg[section]
-    make = getattr(MonotoneFunction, f"{spec['family']}_{section}")
-    return make(spec["value"] if spec["family"] == "constant" else spec["alpha"])
+    return Scenario(_build(cfg, "scenario"), sc["orbit"], omega=sc["omega"])
 
 
 def _expected_power_slope(cfg: RunConfig, bound: RateBound) -> Optional[float]:
@@ -440,7 +462,7 @@ def _expected_power_slope(cfg: RunConfig, bound: RateBound) -> Optional[float]:
 
 def _bound_on_grid(cfg: RunConfig):
     """The configured bound and the grid of t, which must start at its t_min or above."""
-    rates = {section: _rate_function(cfg, section)
+    rates = {section: _build(cfg, section)
              for section in ("growth", "decay") if section in cfg.sections}
     bound = make_bound(cfg["bound"]["variant"], c=cfg["bound"].get("c"),
                        k=cfg["bound"].get("k"), **rates)

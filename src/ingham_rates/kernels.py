@@ -244,16 +244,16 @@ class Kernel:
 
     def time(self, t, scale: float = 1.0):
         """phi_scale(t) = scale * phi(scale * t)."""
-        if not scale > 0.0:
-            raise ValueError("scale must be positive")
+        if not 0.0 < scale < math.inf:
+            raise ValueError("scale must be positive and finite")
         arr = np.asarray(t, dtype=float)
         out = scale * np.asarray(self.time_eval(scale * arr), dtype=float)
         return float(out) if arr.ndim == 0 else out
 
     def freq(self, s, scale: float = 1.0):
         """psi_scale(s) = psi(s / scale)."""
-        if not scale > 0.0:
-            raise ValueError("scale must be positive")
+        if not 0.0 < scale < math.inf:
+            raise ValueError("scale must be positive and finite")
         arr = np.asarray(s, dtype=float)
         out = np.asarray(self.freq_eval(arr / scale), dtype=float)
         return float(out) if arr.ndim == 0 else out
@@ -391,8 +391,8 @@ def tail_integral(kernel: Kernel, t: float) -> float:
     they cancel, 1/2 minus the integrated Taylor series, since phi is even
     with unit mass.
     """
-    if not t > 0.0:
-        raise ValueError("tail integral requires t > 0")
+    if not 0.0 < t < math.inf:
+        raise ValueError("tail integral requires finite t > 0")
     if t < _TAYLOR_RADIUS:
         return 0.5 - math.fsum(c * t ** (2 * n + 1) / (2 * n + 1)
                                for n, c in enumerate(kernel._series)) / math.pi
@@ -411,6 +411,8 @@ def numeric_fourier(kernel: Kernel, s, spec: Optional[QuadratureSpec] = None):
     if spec is None:
         spec = QuadratureSpec()
     grid = np.asarray(s, dtype=float)
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("s must be finite")
     points = grid.ravel().tolist()
     out = np.empty(len(points))
     # trig(freq*t) * cos(s*t) splits into half-amplitude components

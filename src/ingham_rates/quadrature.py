@@ -99,12 +99,13 @@ class QuadratureSpec:
 
     def __post_init__(self) -> None:
         # negated comparisons, so that NaN fails them
-        if not self.abs_tol > 0.0:
-            raise ValueError("abs_tol must be positive")
-        if not self.rel_tol > 0.0:
-            raise ValueError("rel_tol must be positive")
-        if not self.max_subdivisions >= 1:
-            raise ValueError("max_subdivisions must be at least 1")
+        if not 0.0 < self.abs_tol < math.inf:
+            raise ValueError("abs_tol must be positive and finite")
+        if not 0.0 < self.rel_tol < math.inf:
+            raise ValueError("rel_tol must be positive and finite")
+        count = self.max_subdivisions
+        if not (1 <= count < math.inf and count == int(count)):
+            raise ValueError("max_subdivisions must be an integer of at least 1")
         hint = self.oscillation_frequency
         if hint is not None and not 0.0 < hint < math.inf:
             raise ValueError("oscillation_frequency must be positive and finite when given")
@@ -201,7 +202,7 @@ def integrate(f: Callable, a: float, b: float, spec: Optional[QuadratureSpec] = 
     if spec is None:
         spec = QuadratureSpec()
     if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("integration endpoints must be finite")
+        raise ValueError("integration endpoints a and b must be finite")
     if a > b:
         raise ValueError("lower endpoint must not exceed upper endpoint")
     if a == b:
@@ -252,10 +253,12 @@ def integrate_oscillatory(
     """
     if spec is None:
         spec = QuadratureSpec()
-    if not alpha > 0.0:
-        raise ValueError("alpha must be positive")
-    if not t_from >= 0.0:
-        raise ValueError("t_from must be non-negative")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
+    if not 0.0 <= t_from < math.inf:
+        raise ValueError("t_from must be non-negative and finite")
+    if not math.isfinite(phase):
+        raise ValueError("phase must be finite")
 
     # First zero of cos(alpha*s + phase) strictly beyond t_from.
     m0 = math.floor((alpha * t_from + phase - 0.5 * math.pi) / math.pi) + 1

@@ -145,14 +145,14 @@ class MonotoneFunction:
     def power_growth(cls, alpha: float) -> "MonotoneFunction":
         """M(R) = (1 + R)**alpha with alpha > 0."""
         if not 0.0 < alpha < math.inf:
-            raise ValueError("power growth exponent must be positive and finite")
+            raise ValueError("power growth exponent alpha must be positive and finite")
         return cls("growth", lambda R: (1.0 + R) ** alpha, f"(1+R)^{alpha:g}")
 
     @classmethod
     def exponential_growth(cls, alpha: float) -> "MonotoneFunction":
         """M(R) = exp(R**alpha) with alpha > 0."""
         if not 0.0 < alpha < math.inf:
-            raise ValueError("exponential growth exponent must be positive and finite")
+            raise ValueError("exponential growth exponent alpha must be positive and finite")
         return cls("growth", lambda R: np.exp(R**alpha), f"exp(R^{alpha:g})")
 
     @classmethod
@@ -167,10 +167,10 @@ class MonotoneFunction:
         values = np.asarray(values, dtype=float)
         if knots.ndim != 1 or knots.size < 2 or knots.shape != values.shape:
             raise ValueError("tabulated input needs matching 1-d knots and values with >= 2 entries")
-        if not (np.all(knots >= 0.0) and np.all(np.diff(knots) > 0.0)):
-            raise ValueError("growth knots must be non-negative and strictly increasing")
-        if not np.all(values >= 1.0):
-            raise ValueError("rate values must be at least 1")
+        if not (np.all((knots >= 0.0) & (knots < math.inf)) and np.all(np.diff(knots) > 0.0)):
+            raise ValueError("growth knots must be finite, non-negative and strictly increasing")
+        if not np.all((values >= 1.0) & (values < math.inf)):
+            raise ValueError("rate values must be finite and at least 1")
         if not np.all(np.diff(values) >= 0.0):
             raise ValueError("tabulated growth values must be non-decreasing")
         return cls("growth", lambda R: np.interp(R, knots, values), f"table[{knots.size}]")
@@ -181,14 +181,14 @@ class MonotoneFunction:
     def power_decay(cls, alpha: float) -> "MonotoneFunction":
         """m(r) = r**(-alpha) with alpha > 0."""
         if not 0.0 < alpha < math.inf:
-            raise ValueError("power decay exponent must be positive and finite")
+            raise ValueError("power decay exponent alpha must be positive and finite")
         return cls("decay", lambda r: r ** (-alpha), f"r^-{alpha:g}")
 
     @classmethod
     def exponential_decay(cls, alpha: float) -> "MonotoneFunction":
         """m(r) = exp(r**(-alpha)) with alpha > 0."""
         if not 0.0 < alpha < math.inf:
-            raise ValueError("exponential decay exponent must be positive and finite")
+            raise ValueError("exponential decay exponent alpha must be positive and finite")
         return cls("decay", lambda r: np.exp(r ** (-alpha)), f"exp(r^-{alpha:g})")
 
     @classmethod
@@ -205,8 +205,8 @@ class MonotoneFunction:
             raise ValueError("tabulated input needs matching 1-d knots and values with >= 2 entries")
         if not (np.all((knots > 0.0) & (knots <= 1.0)) and np.all(np.diff(knots) > 0.0)):
             raise ValueError("decay knots must lie in (0, 1] and be strictly increasing")
-        if not np.all(values >= 1.0):
-            raise ValueError("rate values must be at least 1")
+        if not np.all((values >= 1.0) & (values < math.inf)):
+            raise ValueError("rate values must be finite and at least 1")
         if not np.all(np.diff(values) <= 0.0):
             raise ValueError("tabulated decay values must be non-increasing")
         # Interpolate in w = 1/r, where the table is non-decreasing.
@@ -347,7 +347,7 @@ def _invert(f, y: np.ndarray) -> tuple[np.ndarray, dict]:
         raise ValueError("f must be a growth or decay rate (has .kind)")
     edge_x, _, _, to_u, from_u, _ = _BISECTION[kind]
     finite = np.isfinite(y)
-    failures = {i: ValueError("inversion target must be finite")
+    failures = {i: ValueError("inversion target y must be finite")
                 for i in np.flatnonzero(~finite).tolist()}
     slack = _TOL_REL * np.maximum(1.0, np.abs(y))
 
@@ -651,8 +651,8 @@ def _raw_minima(logf, param: Callable[[np.ndarray], np.ndarray],
                 composed: ComposedRate, c: float, t, inverse):
     """Minimise exp(logf(u, param(t))) for every t of a scalar or 1-d grid."""
     flat, scalar = _as_array(t)
-    if not (c > 0.0 and np.all(flat > 0.0)):
-        raise ValueError("c and t must be positive")
+    if not (0.0 < c < math.inf and np.all((flat > 0.0) & (flat < math.inf))):
+        raise ValueError("c and t must be positive and finite")
     u_max = _libm(math.log, _search_radii(composed, c * flat, inverse))
     with np.errstate(over="ignore"):  # logf evaluates the growth rate unchecked
         values, argmins = _minimise_rows(logf, param(flat), u_max)

@@ -117,6 +117,13 @@ class DiagonalOperator:
             mode -= size
 
 
+def _count(name: str, n, least: int = 1) -> int:
+    """``n`` as an int, refused by ``name`` unless a whole number of at least ``least``."""
+    if not (least <= n < math.inf and n == int(n)):
+        raise ValueError(f"{name} must be an integer of at least {least}")
+    return int(n)
+
+
 def single_mode(eigenvalue: complex) -> DiagonalOperator:
     """Operator with one eigenvalue; the simplest oracle model."""
     return DiagonalOperator(np.array([eigenvalue], dtype=complex),
@@ -127,8 +134,7 @@ def cluster_infinity(alpha: float, n_modes: int) -> DiagonalOperator:
     """lambda_n = -n**(-alpha) + i*n for n = 1..n_modes, with alpha > 0."""
     if not 0.0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
-    if n_modes < 1:
-        raise ValueError("n_modes must be at least 1")
+    n_modes = _count("n_modes", n_modes)
     n = np.arange(1, n_modes + 1, dtype=float)
     lam = np.empty(n_modes, dtype=complex)  # filled in place: no complex temporaries
     np.negative(np.power(n, -alpha, out=lam.real), out=lam.real)
@@ -140,8 +146,7 @@ def cluster_zero(beta: float, n_modes: int) -> DiagonalOperator:
     """lambda_n = -n**(-beta) + i/n for n = 1..n_modes, with beta > 1."""
     if not 1.0 < beta < math.inf:
         raise ValueError("beta must exceed 1 and be finite")
-    if n_modes < 1:
-        raise ValueError("n_modes must be at least 1")
+    n_modes = _count("n_modes", n_modes)
     n = np.arange(1, n_modes + 1, dtype=float)
     lam = np.empty(n_modes, dtype=complex)
     np.negative(np.power(n, -beta, out=lam.real), out=lam.real)
@@ -151,6 +156,7 @@ def cluster_zero(beta: float, n_modes: int) -> DiagonalOperator:
 
 def mixed_cluster(alpha: float, beta: float, n_infinity: int, n_zero: int) -> DiagonalOperator:
     """Union of a cluster_infinity and a cluster_zero family."""
+    n_infinity, n_zero = _count("n_infinity", n_infinity), _count("n_zero", n_zero)
     a = cluster_infinity(alpha, n_infinity)
     b = cluster_zero(beta, n_zero)
     return DiagonalOperator(
@@ -378,6 +384,8 @@ def orbit_argmax(scenario: Scenario, t: float) -> tuple[float, int, int]:
 
 def resolvent_norm(operator: DiagonalOperator, s: float) -> float:
     """Norm of the resolvent at the imaginary-axis point i*s."""
+    if not math.isfinite(s):
+        raise ValueError("s must be finite")
     lam = operator.eigenvalues
     dist = np.min(np.abs(1j * float(s) - lam))
     if dist == 0.0:
@@ -392,8 +400,9 @@ def boundary_function(scenario: Scenario, s: float, derivative: int = 0) -> np.n
     ``w / (i s - lambda)``, so the derivative of order j is
     ``(-i)^j j! w / (i s - lambda)^{j+1}``.
     """
-    if derivative < 0:
-        raise ValueError("derivative order must be non-negative")
+    derivative = _count("derivative", derivative, least=0)
+    if not math.isfinite(s):
+        raise ValueError("s must be finite")
     lam = scenario.operator.eigenvalues
     w = mode_weights(scenario)
     denom = (1j * float(s) - lam) ** (derivative + 1)
@@ -483,9 +492,11 @@ def resolvent_envelope_growth(
     handled by a separate decay envelope).  ``r_grid`` is accepted for
     compatibility and ignored: no table is built.
     """
+    s_min = float(s_min)
+    if not 0.0 <= s_min < math.inf:
+        raise ValueError("s_min must be non-negative and finite")
     ordinates, damping = _folded_spectrum(operator)
     padded = _padded_spectrum(ordinates, damping)
-    s_min = float(s_min)
     # the peaks with ordinate >= s_min, a suffix of the sorted ordinates
     peaks_at = ordinates[ordinates.searchsorted(s_min):]
     # the norm at s_min joins every prefix maximum of the peaks

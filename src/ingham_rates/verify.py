@@ -43,6 +43,7 @@ from .quadrature import NonConvergenceError, QuadratureSpec, integrate
 from .rate_functions import _VARIANTS, make_bound
 from .semigroup_lab import (
     Scenario,
+    _count,
     _orbit_sweep,
     mode_weights,
     resolvent_envelope_decay,
@@ -105,7 +106,7 @@ def fit_loglog(pairs: Sequence[tuple]) -> tuple[float, float]:
     if arr.shape[0] < 5:
         raise ValueError("log-log fit needs at least 5 rows")
     if not np.all((arr > 0.0) & np.isfinite(arr)):
-        raise ValueError("log-log fit requires positive finite abscissae and values")
+        raise ValueError("log-log fit requires pairs of positive finite abscissae and values")
     x = np.log(arr[:, 0])
     y = np.log(arr[:, 1])
     n = x.size
@@ -208,8 +209,10 @@ def convolution_defect_profile(
     t_grid = np.asarray(t_grid, dtype=float)
     if not (np.all(np.isfinite(t_grid)) and np.all(np.diff(t_grid) > 0.0) and t_grid[0] > 0.0):
         raise ValueError("t_grid must be finite, positive and strictly increasing")
-    if np.any(lams.real >= 0.0):
-        raise ValueError("eigenvalues must have strictly negative real part")
+    if not np.all((lams.real < 0.0) & np.isfinite(lams)):
+        raise ValueError("eigenvalues must be finite with strictly negative real part")
+    if not np.all(np.isfinite(wts)):
+        raise ValueError("weights must be finite")
     sup = np.zeros(t_grid.size)
     arg = np.zeros(t_grid.size, dtype=int)
     for start, vals in _abs_defects(kernel, lams, wts, t_grid[None, :]):
@@ -234,8 +237,10 @@ def check_parseval(scenario: Scenario, kernel: Kernel, t: float,
     """
     if scenario.operator.size > 8:
         raise ValueError("Parseval check is meant for few-mode scenarios")
-    if not scale > 0.0:
-        raise ValueError("scale must be positive")
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
+    if not 0.0 < scale < math.inf:
+        raise ValueError("scale must be positive and finite")
     base = spec or QuadratureSpec()
     lam = scenario.operator.eigenvalues
     w = mode_weights(scenario)
@@ -283,8 +288,7 @@ def check_mollifier_rate(
         raise ValueError("r_list must be finite, positive and increasing")
     if not 1.0 < t_max < math.inf:
         raise ValueError("t_max must exceed 1 and be finite")
-    if int(points) < 1:
-        raise ValueError("points must be at least 1")
+    points = _count("points", points)
     lam = scenario.operator.eigenvalues
     w = mode_weights(scenario)
     radii = np.array(r_list)
@@ -294,7 +298,7 @@ def check_mollifier_rate(
     lams = (lam / radii[:, None]).ravel()
     if not (r_list[-1] * t_max < math.inf and np.all(lams.real < 0.0)):
         raise ValueError("r_list is too large: R t_max overflows or lambda/R underflows")
-    times = np.repeat(radii[:, None] * np.linspace(1.0, float(t_max), int(points)),
+    times = np.repeat(radii[:, None] * np.linspace(1.0, float(t_max), points),
                       lam.size, axis=0)
     peaks = np.empty(lams.size)
     for start, vals in _abs_defects(kernel, lams, np.tile(w, radii.size), times):
@@ -353,6 +357,8 @@ def check_asymptotic_regularity(
             f"kernel {kernel.name!r} is inadmissible: its transform is not"
             " identically 1 near 0"
         )
+    if stability_limit is not None and not 0.0 < stability_limit < math.inf:
+        raise ValueError("stability_limit must be positive and finite")
     lam = scenario.operator.eigenvalues
     if np.any(np.abs(lam.imag) > 1.0):
         raise ValueError("asymptotic regularity model needs |Im lambda| <= 1")

@@ -22,7 +22,8 @@ from hypothesis import strategies as st
 from ingham_rates import cli, rate_functions
 from ingham_rates.cli import ConfigError, parse_config
 from ingham_rates.quadrature import NonConvergenceError
-from ingham_rates.rate_functions import SearchBracketError
+from ingham_rates.rate_functions import MonotoneFunction, SearchBracketError
+from ingham_rates.semigroup_lab import DiagonalOperator
 
 
 MINIMAL_KERNEL = "[kernel]\nname = tent\n"
@@ -232,7 +233,117 @@ variant = infinity_foo
         "[bound] variant='infinity_foo' must be one of infinity_ck, infinity_smooth,"
         " zero_ck, zero_smooth, zero_infinity_ck, zero_infinity_smooth",
     ]),
+    # a family refuses the keys it does not read, before its own checks
+    "cluster_zero_alpha": ("""
+[experiment]
+name = parseval
+[scenario]
+family = cluster_zero
+alpha = -5
+beta = 0.5
+[kernel]
+name = tent
+""", [
+        "[scenario] family cluster_zero does not read key 'alpha'",
+        "[scenario] beta must exceed 1",
+    ]),
+    "single_mode_n_modes": ("""
+[experiment]
+name = asymptotic_regularity
+[scenario]
+family = single_mode
+n_modes = 0
+omega = -1
+[kernel]
+name = tent
+""", [
+        "[scenario] family single_mode does not read key 'n_modes'",
+        "[scenario] omega must be positive",
+    ]),
+    "constant_growth_alpha": ("""
+[experiment]
+name = bound_table
+[bound]
+variant = infinity_ck
+[growth]
+family = constant
+alpha = -3
+value = 0.5
+""", [
+        "[growth] family constant does not read key 'alpha'",
+        "[growth] value must be at least 1",
+    ]),
+    # a section the experiment does not read is refused and checked no further
+    "kernel_check_bound": ("""
+[experiment]
+name = kernel_check
+[kernel]
+name = fudge
+[bound]
+variant = infinity_smooth
+k = 0
+""", [
+        "experiment kernel_check does not read section [bound]",
+    ]),
+    "bound_table_scenario": ("""
+[experiment]
+name = bound_table
+[scenario]
+family = bogus
+[bound]
+variant = infinity_smooth
+[growth]
+family = power
+""", [
+        "experiment bound_table does not read section [scenario]",
+    ]),
+    "zero_ck_growth": ("""
+[experiment]
+name = bound_table
+[growth]
+family = power
+alpha = -1
+[bound]
+variant = zero_ck
+[decay]
+family = constant
+value = 0.5
+""", [
+        "variant zero_ck does not read section [growth]",
+        "[decay] value must be at least 1",
+    ]),
+    "compare_decay_rates": ("""
+[experiment]
+name = compare_decay
+[decay]
+family = gaussian
+[scenario]
+family = cluster_zero
+[kernel]
+name = bogus
+[growth]
+family = power
+[bound]
+variant = zero_smooth
+""", [
+        "experiment compare_decay does not read section [decay]",
+        "experiment compare_decay does not read section [kernel]",
+        "experiment compare_decay does not read section [growth]",
+    ]),
 }
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _bench_workloads(monkeypatch):
+    """The benchmark's ``workloads`` module, loaded from ``bench/``."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def write_config(tmp_path, text, name="config.ini"):
@@ -406,6 +517,29 @@ class TestConfigParsing:
         errors = excinfo.value.errors
         assert "variant zero_infinity_ck requires section [growth]" in errors
         assert "variant zero_infinity_ck requires section [decay]" in errors
+
+    @pytest.mark.parametrize("section,family", [
+        (section, family) for section, families in cli._FAMILIES.items() for family in families])
+    def test_family_defaults_pass_their_checks_and_build(self, section, family):
+        errors = []
+        cli._check_family(section, {"family": family}, errors)
+        assert errors == []
+        model = cli._build(cli.RunConfig("", {section: {"family": family}}), section)
+        assert isinstance(model, DiagonalOperator if section == "scenario" else MonotoneFunction)
+
+    def test_family_sections_keep_their_keys_and_types(self):
+        assert cli._SCHEMA["scenario"] == {
+            "family": "str", "lambda_re": "float", "lambda_im": "float", "alpha": "float",
+            "beta": "float", "n_modes": "int", "n_infinity": "int", "n_zero": "int",
+            "omega": "float", "orbit": "str"}
+        for section in ("growth", "decay"):
+            assert cli._SCHEMA[section] == {"family": "str", "alpha": "float", "value": "float"}
+
+    def test_every_bench_universe_op_parses(self, monkeypatch):
+        workloads = _bench_workloads(monkeypatch)
+        for workload in workloads.WORKLOADS.values():
+            for op in workload.universe():
+                parse_config(op.ini())
 
     @pytest.mark.parametrize("text,expected", CONFIG_ERROR_CORPUS.values(),
                              ids=CONFIG_ERROR_CORPUS.keys())
@@ -752,18 +886,11 @@ variant = infinity_smooth
                          "--out", str(out), "--seed", "7"]) == 0
 
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-
-
 class TestPinnedReports:
     def test_rate_bounds_universe_matches_recorded_digests(self, tmp_path, monkeypatch):
         # every op the rate_bounds benchmark can draw, through the same
         # entry points, against the report digests recorded for it
-        monkeypatch.syspath_prepend(str(BENCH))
-        spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
-        spec.loader.exec_module(workloads)
+        workloads = _bench_workloads(monkeypatch)
         recorded = json.loads((BENCH / "digests.json").read_text(encoding="utf-8"))
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv("INGHAM_RATES_TOL", raising=False)

@@ -33,8 +33,7 @@ that raised them and their class name).
 
 Precedence: command-line flags override config-file fields, which
 override the ``INGHAM_RATES_TOL`` environment variable, which overrides
-built-in defaults.  ``--seed`` is accepted but reserved: all computations
-are deterministic.
+built-in defaults.
 """
 
 from __future__ import annotations
@@ -635,8 +634,6 @@ def main(argv: Optional[list] = None) -> int:
                        help="output base path (overrides [output] path)")
         p.add_argument("--format", choices=("csv", "json", "both"), default=None,
                        help="report format (overrides [output] format)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="reserved; all computations are deterministic")
         p.set_defaults(experiment=experiment)
     args = parser.parse_args(argv)
 

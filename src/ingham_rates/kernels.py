@@ -29,9 +29,9 @@ both the defect engine's closed form and the components' tails
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable, Optional
+from dataclasses import dataclass
+from functools import cache
+from typing import Optional
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -172,18 +172,6 @@ def _jump_terms(x: np.ndarray, q, taylor: np.ndarray) -> np.ndarray:
     return out
 
 
-def _piecewise_freq(pieces: tuple) -> Callable[[np.ndarray], np.ndarray]:
-    """psi(s) from polynomial pieces on s >= 0; zero beyond the last piece."""
-    def freq_eval(s: np.ndarray) -> np.ndarray:
-        a = np.abs(np.asarray(s, dtype=float))
-        out = np.zeros_like(a)
-        # reversed, so the earlier piece wins at a shared endpoint
-        for lo, hi, coeffs in reversed(pieces):
-            out = np.where((a >= lo) & (a <= hi), polyval(a, coeffs), out)
-        return out
-    return freq_eval
-
-
 def _complement_pieces(pieces: tuple) -> tuple[np.ndarray, list, list]:
     """Breakpoints of 1 - psi on the line, its polynomial pieces and jumps.
 
@@ -219,112 +207,120 @@ def _complement_pieces(pieces: tuple) -> tuple[np.ndarray, list, list]:
 
 @dataclass(frozen=True)
 class Kernel:
-    """An even unit-mass kernel and its closed-form Fourier transform.
+    """An even unit-mass kernel, stated by its Fourier transform alone.
 
-    ``flat_near_zero`` records whether the transform is identically 1 on a
-    neighbourhood of s = 0, the property needed for band-limited
-    convolution to reproduce low frequencies exactly.  ``freq_pieces``
-    states the piecewise polynomial transform once, as ``(lo, hi,
+    ``freq_pieces`` holds the piecewise polynomial transform as ``(lo, hi,
     coefficients)`` triples on s >= 0 with coefficients in ascending powers
-    of s (psi vanishes beyond the last piece).  ``complement`` holds what
-    :func:`_complement_pieces` derives from it for the defect engine,
-    ``_components`` the trigonometric terms of the time profile and
-    ``_series`` the coefficients of pi phi in powers of t^2, which take
-    over below |t| = ``_TAYLOR_RADIUS``.
-    """
-
-    name: str
-    time_eval: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    freq_eval: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    flat_near_zero: bool
-    freq_pieces: tuple
-    complement: tuple = field(repr=False, compare=False)
-    _components: tuple = field(repr=False)
-    _series: tuple = field(repr=False)
-
-    def time(self, t, scale: float = 1.0):
-        """phi_scale(t) = scale * phi(scale * t)."""
-        if not 0.0 < scale < math.inf:
-            raise ValueError("scale must be positive and finite")
-        arr = np.asarray(t, dtype=float)
-        out = scale * np.asarray(self.time_eval(scale * arr), dtype=float)
-        return float(out) if arr.ndim == 0 else out
-
-    def freq(self, s, scale: float = 1.0):
-        """psi_scale(s) = psi(s / scale)."""
-        if not 0.0 < scale < math.inf:
-            raise ValueError("scale must be positive and finite")
-        arr = np.asarray(s, dtype=float)
-        out = np.asarray(self.freq_eval(arr / scale), dtype=float)
-        return float(out) if arr.ndim == 0 else out
-
-
-@lru_cache(maxsize=8)
-def _piecewise_kernel(name: str, pieces: tuple) -> Kernel:
-    """The kernel whose transform is ``pieces``, with everything else derived.
+    of s (psi vanishes beyond the last piece); equality and hashing go by
+    ``(name, freq_pieces)``.  Everything else is derived from the pieces
+    once, when the kernel is built.  ``flat_near_zero`` records whether
+    psi is identically 1 near s = 0, which band-limited convolution needs
+    to reproduce low frequencies exactly; ``complement`` holds what
+    :func:`_complement_pieces` derives for the defect engine.
 
     ``phi(t) = (1/2pi) int psi(s) e^{ist} ds`` integrated by parts on each
     piece leaves ``(1/2pi) sum_k (-1)^{k+1} k! taylor[k] e^{ict} / (it)^{k+1}``
     at each breakpoint c.  Since taylor_k(-c) = (-1)^{k+1} taylor_k(c), c and
     -c pair into ``a trig(c t) / (pi t^{k+1})``, cos for odd k and sin for
-    even k, with ``a = (-1)^{k//2+1} k! taylor[k]``, halved at c = 0.  These
-    terms also give ``_components``.  Near t = 0, where they cancel, phi is
-    the series ``(1/pi) sum_n (-1)^n m_2n t^2n / (2n)!`` with the moments
+    even k, with ``a = (-1)^{k//2+1} k! taylor[k]``, halved at c = 0:
+    ``_components`` holds these terms as ``(a/pi, trig, c, k+1)``.  Near
+    t = 0, where they cancel, phi is the series
+    ``(1/pi) sum_n (-1)^n m_2n t^2n / (2n)!`` with the moments
     ``m_j = int_0^1 psi(s) s^j ds`` summed as exact rationals, so each
-    coefficient is rounded once; every kernel switches to its 24 terms
-    below |t| = 3, each point taking one form only.  Results are cached.
+    coefficient is rounded once; ``_series`` holds its 24 coefficients of
+    pi phi in powers of t^2, which take over below |t| = 3, each point
+    taking one form only.
     """
-    breaks, polys, jumps = _complement_pieces(pieces)
-    terms = []  # (a, trig, c, power): c ascending, then derivative order descending
-    for c, taylor in jumps:
-        for k in range(taylor.size - 1, -1, -1):
-            if c >= 0.0 and taylor[k] != 0.0:
-                a = (-1) ** (k // 2 + 1) * math.factorial(k) * float(taylor[k])
-                terms.append((0.5 * a if c == 0.0 else a, "cos" if k % 2 else "sin", c, k + 1))
-    p_min = min(p for *_, p in terms)
-    # imported here, so that processes which build no kernel skip it
-    from fractions import Fraction
 
-    def moment(j: int) -> Fraction:
-        return sum(Fraction(c) * (Fraction(hi) ** (j + i + 1) - Fraction(lo) ** (j + i + 1))
-                   / (j + i + 1) for lo, hi, coeffs in pieces for i, c in enumerate(coeffs))
-    series = [float((-1) ** n * moment(2 * n) / math.factorial(2 * n))
-              for n in range(_TAYLOR_TERMS)]
+    name: str
+    freq_pieces: tuple
 
-    def time_eval(t: np.ndarray) -> np.ndarray:
+    def __post_init__(self):
+        breaks, polys, jumps = _complement_pieces(self.freq_pieces)
+        terms = []  # (a, trig, c, power): c ascending, then derivative order descending
+        for c, taylor in jumps:
+            for k in range(taylor.size - 1, -1, -1):
+                if c >= 0.0 and taylor[k] != 0.0:
+                    a = (-1) ** (k // 2 + 1) * math.factorial(k) * float(taylor[k])
+                    terms.append((0.5 * a if c == 0.0 else a, "cos" if k % 2 else "sin", c, k + 1))
+        # imported here, so that processes which build no kernel skip it
+        from fractions import Fraction
+
+        def moment(j: int) -> Fraction:
+            return sum(Fraction(c) * (Fraction(hi) ** (j + i + 1) - Fraction(lo) ** (j + i + 1))
+                       / (j + i + 1) for lo, hi, coeffs in self.freq_pieces
+                       for i, c in enumerate(coeffs))
+        derived = {
+            "flat_near_zero": tuple(self.freq_pieces[0][2]) == (1.0,),
+            "complement": (breaks, polys, jumps),
+            "_terms": tuple(terms),
+            "_p_min": min(p for *_, p in terms),
+            "_components": tuple((a / math.pi, trig, c, p) for a, trig, c, p in terms),
+            "_series": tuple(float((-1) ** n * moment(2 * n) / math.factorial(2 * n))
+                             for n in range(_TAYLOR_TERMS)),
+        }
+        for key, value in derived.items():
+            object.__setattr__(self, key, value)
+
+    def time_eval(self, t: np.ndarray) -> np.ndarray:
+        """phi(t) at finite t, unchecked."""
         t = np.asarray(t, dtype=float)
         small = np.abs(t) < _TAYLOR_RADIUS
         n_small = np.count_nonzero(small)
         out = np.empty(t.shape)
         if n_small < small.size:
             big = t[~small] if n_small else t
+            p_min = self._p_min
             trig_form = 0.0
-            for a, trig, c, p in terms:
+            for a, trig, c, p in self._terms:
                 term = a * _TRIG[trig](c * big)
                 trig_form = trig_form + (term / big ** (p - p_min) if p > p_min else term)
             out[~small] = trig_form / big ** p_min
         if n_small:  # Horner in t^2
             t2 = t[small]
             t2 *= t2
-            near = np.full_like(t2, series[-1])
-            for coef in series[-2::-1]:
+            near = np.full_like(t2, self._series[-1])
+            for coef in self._series[-2::-1]:
                 near *= t2
                 near += coef
             out[small] = near
         return (1.0 / math.pi) * out
 
-    return Kernel(
-        name=name,
-        time_eval=time_eval,
-        freq_eval=_piecewise_freq(pieces),
-        flat_near_zero=tuple(pieces[0][2]) == (1.0,),
-        freq_pieces=pieces,
-        complement=(breaks, polys, jumps),
-        _components=tuple((a / math.pi, trig, c, p) for a, trig, c, p in terms),
-        _series=tuple(series),
-    )
+    def freq_eval(self, s: np.ndarray) -> np.ndarray:
+        """psi(s) at finite s, unchecked."""
+        a = np.abs(np.asarray(s, dtype=float))
+        out = np.zeros_like(a)
+        # reversed, so the earlier piece wins at a shared endpoint
+        for lo, hi, coeffs in reversed(self.freq_pieces):
+            out = np.where((a >= lo) & (a <= hi), polyval(a, coeffs), out)
+        return out
+
+    def time(self, t, scale: float = 1.0):
+        """phi_scale(t) = scale * phi(scale * t), 0 where scale * t is infinite."""
+        return scale * _evaluate(self.time_eval, "t", t, scale, np.multiply)
+
+    def freq(self, s, scale: float = 1.0):
+        """psi_scale(s) = psi(s / scale), 0 where s / scale is infinite."""
+        return _evaluate(self.freq_eval, "s", s, scale, np.divide)
 
 
+def _evaluate(evaluate, name: str, points, scale: float, rescale):
+    """``evaluate(rescale(points, scale))`` at points that are not NaN, 0
+    where the rescaled point, or a power of it, overflows: both phi and psi
+    tend to 0 there."""
+    if not 0.0 < scale < math.inf:
+        raise ValueError("scale must be positive and finite")
+    arr = np.asarray(points, dtype=float)
+    if np.isnan(arr).any():
+        raise ValueError(f"{name} must not be NaN")
+    with np.errstate(over="ignore"):
+        x = rescale(arr, scale)
+        far = np.isinf(x)
+        out = np.where(far, 0.0, evaluate(np.where(far, 0.0, x)))
+    return float(out) if arr.ndim == 0 else out
+
+
+@cache
 def tent_kernel() -> Kernel:
     """Kernel whose transform is a plateau with linear shoulders.
 
@@ -332,17 +328,19 @@ def tent_kernel() -> Kernel:
     the transform equals 1 for |s| <= 1/2 and ``2 (1 - |s|)`` for
     1/2 <= |s| <= 1.
     """
-    return _piecewise_kernel("tent", ((0.0, 0.5, (1.0,)), (0.5, 1.0, (2.0, -2.0))))
+    return Kernel("tent", ((0.0, 0.5, (1.0,)), (0.5, 1.0, (2.0, -2.0))))
 
 
+@cache
 def fudge_kernel() -> Kernel:
     """Kernel with parabolic transform ``max(0, 1 - s^2)`` and no plateau.
 
     ``phi(t) = 2 (sin t / t - cos t) / (pi t^2)`` with ``phi(0) = 2/(3 pi)``.
     """
-    return _piecewise_kernel("fudge", ((0.0, 1.0, (1.0, 0.0, -1.0)),))
+    return Kernel("fudge", ((0.0, 1.0, (1.0, 0.0, -1.0)),))
 
 
+@cache
 def bump_kernel() -> Kernel:
     """Kernel whose transform is a C^2 plateau.
 
@@ -352,7 +350,7 @@ def bump_kernel() -> Kernel:
     like ``t^-4`` and ``int |t| |phi(t)| dt`` is finite, where tent and
     fudge fall like ``t^-2``.
     """
-    return _piecewise_kernel("bump", ((0.0, 0.5, (1.0,)), (
+    return Kernel("bump", ((0.0, 0.5, (1.0,)), (
         0.5, 1.0, (32.0, -240.0, 720.0, -1040.0, 720.0, -192.0))))
 
 

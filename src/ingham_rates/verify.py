@@ -127,8 +127,11 @@ def fit_loglog(pairs: Sequence[tuple]) -> tuple[float, float]:
 _EXP_CLIP = 45.0
 
 
-def _frequency_route(kernel: Kernel):
-    """Mode defects from the closed form of the frequency integral.
+def _mode_defects(kernel: Kernel, lam: np.ndarray, wts: np.ndarray,
+                  t: np.ndarray) -> np.ndarray:
+    """Complex defects of the modes ``lam``, one row each, at the times
+    ``t``, which hold one row per mode or one row for all: the closed form
+    of the frequency integral.
 
     ``f - f*phi = (1/2pi) int e^{ist} w (1 - psi(s)) / (is - lambda) ds``.
     With mu = -i lambda, dividing a piece's polynomial p by s - mu leaves a
@@ -138,53 +141,58 @@ def _frequency_route(kernel: Kernel):
     breakpoint c, the jump d = p_left - p_right expanded about c, and
     ``sum_k d_k i e^{ict} w^k R_k(x)`` with w = mu - c and x = i t w; as
     w^k R_k(x) = k! (-q)^k e^x E_{k+1}(x) with q = w/x = -i/t, the jumps
-    need x and q only (see :func:`_jump_terms`).  G is cut where s = Im
-    lambda; the principal branch takes the side s < Im lambda there, so
-    the piece [a, b) holding Im lambda adds the pole term
-    ``2 pi e^{lambda t} p(mu)``, with p in its Taylor basis about its
-    centre.  Returns ``defects(lam, wts, t)``: the
-    complex defects of the modes, one row each, at the times ``t``, which
-    hold one row per mode or one row for all; q = -i/t is formed once per
-    call and shared by the jumps.
+    need x and q only (see :func:`_jump_terms`), and q is formed once per
+    call.  G is cut where s = Im lambda; the principal branch takes the
+    side s < Im lambda there, so the piece [a, b) holding Im lambda adds
+    the pole term ``2 pi e^{lambda t} p(mu)``, with p in its Taylor basis
+    about its centre.
     """
     breaks, polys, jumps = kernel.complement
-
-    def defects(lam: np.ndarray, wts: np.ndarray, t: np.ndarray) -> np.ndarray:
-        mu = -1j * lam
-        piece = np.searchsorted(breaks, lam.imag, side="right")
-        p_mu = np.empty(lam.shape, dtype=complex)
-        for j, (centre, p) in enumerate(polys):
-            sel = piece == j
-            p_mu[sel] = polyval(mu[sel] - centre, p)
-        # products in place, their operands in the order that fixes their bits
-        total = lam[:, None] * t
-        np.exp(total, out=total)
-        np.multiply(2.0 * math.pi * p_mu[:, None], total, out=total)
-        q = -1j / t
-        # built from real parts so that Im x is +0.0 when Im lambda = c;
-        # only Im x differs between the jumps, and _jump_terms reads x only
-        x = np.empty(total.shape, dtype=complex)
-        np.multiply(t, lam.real[:, None], out=x.real)
-        for c, taylor in jumps:
-            np.multiply(t, lam.imag[:, None] - c, out=x.imag)
-            jump = _jump_terms(x, q, taylor)
-            total += np.multiply(1j * np.exp(1j * c * t), jump, out=jump)
-        np.multiply(wts[:, None], total, out=total)
-        return np.divide(total, 2.0 * math.pi, out=total)
-
-    return defects
+    mu = -1j * lam
+    piece = np.searchsorted(breaks, lam.imag, side="right")
+    p_mu = np.empty(lam.shape, dtype=complex)
+    for j, (centre, p) in enumerate(polys):
+        sel = piece == j
+        p_mu[sel] = polyval(mu[sel] - centre, p)
+    # products in place, their operands in the order that fixes their bits
+    total = lam[:, None] * t
+    np.exp(total, out=total)
+    np.multiply(2.0 * math.pi * p_mu[:, None], total, out=total)
+    q = -1j / t
+    # built from real parts so that Im x is +0.0 when Im lambda = c;
+    # only Im x differs between the jumps, and _jump_terms reads x only
+    x = np.empty(total.shape, dtype=complex)
+    np.multiply(t, lam.real[:, None], out=x.real)
+    for c, taylor in jumps:
+        np.multiply(t, lam.imag[:, None] - c, out=x.imag)
+        jump = _jump_terms(x, q, taylor)
+        total += np.multiply(1j * np.exp(1j * c * t), jump, out=jump)
+    np.multiply(wts[:, None], total, out=total)
+    return np.divide(total, 2.0 * math.pi, out=total)
 
 
 def _abs_defects(kernel: Kernel, lams: np.ndarray, wts: np.ndarray, times: np.ndarray):
     """|f - f*phi| of the modes ``lams`` in chunks of at most ``_CHUNK``
     (mode, time) pairs: yields each chunk's first mode and its |defects|.
     ``times`` holds one row per mode, or one row for all of them."""
-    defects = _frequency_route(kernel)
     step = max(1, _CHUNK // times.shape[1])
     for start in range(0, lams.size, step):
         rows = slice(start, start + step)
         t = times if times.shape[0] == 1 else times[rows]
-        yield start, np.abs(defects(lams[rows], wts[rows], t))
+        yield start, np.abs(_mode_defects(kernel, lams[rows], wts[rows], t))
+
+
+def _time_grid(t_grid, t_min: float = 0.0) -> np.ndarray:
+    """``t_grid`` as a float array, refused unless it is 1-d, non-empty,
+    finite, strictly increasing and positive; one that starts below a
+    bound's threshold ``t_min`` > 0 is refused as such."""
+    grid = np.asarray(t_grid, dtype=float)
+    if not (grid.ndim == 1 and grid.size and np.isfinite(grid).all()
+            and (np.diff(grid) > 0.0).all() and (grid[0] > 0.0 or t_min > 0.0)):
+        raise ValueError("t_grid must be finite, positive and strictly increasing")
+    if grid[0] < t_min:
+        raise ValueError(f"t_grid starts below the bound's validity threshold {t_min:.6g}")
+    return grid
 
 
 def convolution_defect_profile(
@@ -199,18 +207,18 @@ def convolution_defect_profile(
     orbit is extended by zero to t < 0.  The defects come in closed form
     from the frequency integral over the kernel's transform pieces, with a
     few exponential integrals per mode and time and no quadrature
-    (:func:`_frequency_route`), every mode against the one row t_grid.
+    (:func:`_mode_defects`), every mode against the one row t_grid.
     Below t = 1 the bump's t^-6 breakpoint terms cancel: its defects there
     are good to about 1e-8 relative, and to 3e-5 for |Re lambda| near 50 at
     t = 0.1.
     """
     lams = np.atleast_1d(np.asarray(eigenvalues, dtype=complex))
     wts = np.atleast_1d(np.asarray(weights, dtype=complex))
-    t_grid = np.asarray(t_grid, dtype=float)
-    if not (np.all(np.isfinite(t_grid)) and np.all(np.diff(t_grid) > 0.0) and t_grid[0] > 0.0):
-        raise ValueError("t_grid must be finite, positive and strictly increasing")
+    t_grid = _time_grid(t_grid)
     if not np.all((lams.real < 0.0) & np.isfinite(lams)):
         raise ValueError("eigenvalues must be finite with strictly negative real part")
+    if wts.shape != lams.shape:
+        raise ValueError(f"weights have shape {wts.shape}, eigenvalues {lams.shape}")
     if not np.all(np.isfinite(wts)):
         raise ValueError("weights must be finite")
     sup = np.zeros(t_grid.size)
@@ -437,15 +445,7 @@ def compare_decay(
     if t_grid is None:
         lo = max(10.0, bound.t_min * 1.05)
         t_grid = np.geomspace(lo, 1e4, max(5, int(round(20 * math.log10(1e4 / lo))) + 1))
-    t_grid = np.asarray(t_grid, dtype=float)
-    # positive, as the next check holds it at or above t_min
-    if not (t_grid.ndim == 1 and t_grid.size and np.isfinite(t_grid).all()
-            and (np.diff(t_grid) > 0.0).all()):
-        raise ValueError("t_grid must be finite, positive and strictly increasing")
-    if t_grid[0] < bound.t_min:
-        raise ValueError(
-            f"t_grid starts below the bound's validity threshold {bound.t_min:.6g}"
-        )
+    t_grid = _time_grid(t_grid, bound.t_min)
     if t_grid[-1] < 100.0 * t_grid[0]:
         raise ValueError(
             "t_grid must span at least two decades so the first- and"
@@ -542,7 +542,7 @@ def kernel_check_report(kernel: Kernel, s_grid: np.ndarray,
     """Rows (s, numeric, closed, ratio) of a kernel's numeric transform
     against its closed form, the ratio NaN where that vanishes; fails where
     the two differ by more than ``KERNEL_MATCH_TOLERANCE``."""
-    closed = [float(kernel.freq_eval(np.asarray(s))) for s in s_grid.tolist()]
+    closed = kernel.freq_eval(s_grid).tolist()
     rows = [(s, v, c, v / c if c > 0.0 else math.nan)
             for s, v, c in zip(s_grid.tolist(), numeric.tolist(), closed)]
     worst = max([0.0] + [abs(v - c) for _, v, c, _ in rows])

@@ -879,11 +879,15 @@ variant = infinity_smooth
         err = capsys.readouterr().err
         assert f"experiment {experiment} requires section" in err
 
-    def test_seed_flag_is_accepted(self, tmp_path):
+    def test_seed_flag_is_refused(self, tmp_path, capsys):
+        # every computation is deterministic, so there is no seed to set
         cfg_path = write_config(tmp_path, MINIMAL_KERNEL)
-        out = tmp_path / "seeded"
-        assert cli.main(["kernel", "--config", str(cfg_path),
-                         "--out", str(out), "--seed", "7"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["kernel", "--config", str(cfg_path),
+                      "--out", str(tmp_path / "seeded"), "--seed", "7"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+        assert not list(tmp_path.glob("seeded*"))
 
 
 class TestPinnedReports:

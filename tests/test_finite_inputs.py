@@ -3,10 +3,11 @@
 Every float (or count) parameter of a public constructor, model builder,
 bound or experiment entry point gets NaN or an infinity in turn, and must
 raise a ``ValueError`` whose message names that parameter, before any
-numpy warning (tier-1 turns ``RuntimeWarning`` into an error).  Evaluation
-points of rate functions and kernels are out of scope: there an infinite
-argument is a limit, not an error.  The report builders of ``verify``
-only format computed rows and are out of scope too.
+numpy warning (tier-1 turns ``RuntimeWarning`` into an error).  At the
+evaluation points of a kernel an infinite argument is a limit, not an
+error: ``time`` and ``freq`` refuse NaN by name and give 0 at infinity.
+Evaluation points of rate functions are out of scope.  The report
+builders of ``verify`` only format computed rows and are out of scope too.
 """
 
 import math
@@ -24,6 +25,7 @@ from ingham_rates import (
     QuadratureSpec,
     Scenario,
     boundary_function,
+    bump_kernel,
     check_asymptotic_regularity,
     check_mollifier_rate,
     check_parseval,
@@ -32,6 +34,7 @@ from ingham_rates import (
     compare_decay,
     convolution_defect_profile,
     fit_loglog,
+    fudge_kernel,
     integrate,
     integrate_oscillatory,
     invert_monotone,
@@ -167,3 +170,21 @@ def test_non_finite_input_is_refused_by_name(entry, value):
 def test_fractional_counts_are_refused(call):
     with pytest.raises(ValueError, match="must be an integer"):
         call()
+
+
+@pytest.mark.parametrize("kernel", [TENT, fudge_kernel(), bump_kernel()],
+                         ids=["tent", "fudge", "bump"])
+@pytest.mark.parametrize("method,parameter,huge_scale",
+                         [("time", "t", 10.0), ("freq", "s", 0.1)])
+def test_kernel_evaluation_points(kernel, method, parameter, huge_scale):
+    evaluate = getattr(kernel, method)
+    for points in (math.nan, [0.5, math.nan]):
+        with pytest.raises(ValueError, match=rf"(?<!\w){parameter}(?!\w)"):
+            evaluate(points)
+    # phi and psi tend to 0: at infinity, where scale * t or s / scale
+    # overflows, and where a power of t in the time profile does
+    assert evaluate(math.inf) == evaluate(-math.inf) == 0.0
+    assert evaluate(1e308, scale=huge_scale) == 0.0
+    assert evaluate(1e200) == 0.0
+    out = evaluate(np.array([-math.inf, 0.25, math.inf, 1e308]), scale=huge_scale)
+    assert out.tolist() == [0.0, evaluate(0.25, scale=huge_scale), 0.0, 0.0]

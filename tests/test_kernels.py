@@ -5,6 +5,7 @@ psi(0) = int phi = 1 and the time-domain closed forms carry a 1/(2*pi)
 relative to the unnormalised trigonometric expressions.
 """
 
+import inspect
 import math
 import os
 import subprocess
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
 from ingham_rates.kernels import (
-    _piecewise_kernel,
+    Kernel,
     bump_kernel,
     fudge_kernel,
     numeric_fourier,
@@ -175,10 +176,35 @@ class TestDerivedFromPieces:
         assert fudge_kernel() is FUDGE
         assert bump_kernel() is bump_kernel()
 
+    def test_a_kernel_is_its_name_and_pieces(self):
+        assert list(inspect.signature(Kernel).parameters) == ["name", "freq_pieces"]
+        rebuilt = Kernel("tent", TENT.freq_pieces)
+        assert rebuilt is not TENT
+        assert rebuilt == TENT and hash(rebuilt) == hash(TENT)
+        assert Kernel("ramp", TENT.freq_pieces) != TENT
+        assert Kernel("tent", FUDGE.freq_pieces) != TENT
+
+    @pytest.mark.parametrize("factory", [tent_kernel, fudge_kernel, bump_kernel],
+                             ids=["tent", "fudge", "bump"])
+    def test_rebuilt_kernel_derives_the_same_bits(self, factory):
+        made = factory()
+        rebuilt = Kernel(made.name, made.freq_pieces)
+        assert rebuilt.flat_near_zero == made.flat_near_zero
+        assert rebuilt._components == made._components
+        assert rebuilt._series == made._series
+        (breaks, polys, jumps), (breaks0, polys0, jumps0) = rebuilt.complement, made.complement
+        assert breaks.tobytes() == breaks0.tobytes()
+        assert [(c, p.tobytes()) for c, p in polys] == [(c, p.tobytes()) for c, p in polys0]
+        assert [(c, d.tobytes()) for c, d in jumps] == [(c, d.tobytes()) for c, d in jumps0]
+        # across the switch from the series to the trigonometric form
+        t = np.concatenate([np.linspace(-6.0, 6.0, 4801), np.nextafter(3.0, [0.0, 6.0])])
+        assert rebuilt.time_eval(t).tobytes() == made.time_eval(t).tobytes()
+        assert rebuilt.freq_eval(t).tobytes() == made.freq_eval(t).tobytes()
+
     def test_triangle_transform(self):
         # psi = max(0, 1 - |s|) has a kink at s = 0, so its time profile
         # (1 - cos t)/(pi t^2) carries a frequency-0 component
-        tri = _piecewise_kernel("triangle", ((0.0, 1.0, (1.0, -1.0)),))
+        tri = Kernel("triangle", ((0.0, 1.0, (1.0, -1.0)),))
         assert not tri.flat_near_zero
         t = _dense_grid()
         small = np.abs(t) < _TAYLOR_RADIUS
@@ -203,8 +229,8 @@ class TestDerivedFromPieces:
         # where the 24-term series of every kernel takes over
         shoulder = 1.0 - Polynomial([0.0, 0.0, 0.0, 10.0, -15.0, 6.0])(Polynomial([-1.0, 2.0]))
         pieces = ((0.0, 0.5, (1.0,)), (0.5, 1.0, tuple(shoulder.coef.tolist())))
-        bump = _piecewise_kernel("bump", pieces)
-        assert bump is bump_kernel()
+        bump = Kernel("bump", pieces)
+        assert bump == bump_kernel()
         assert {p for *_, p in bump._components} == {4, 5, 6}
         assert len(bump._series) == 24
 

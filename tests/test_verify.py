@@ -426,11 +426,20 @@ class TestDefectEngine:
         assert profile[0] > 0.0
 
 
+    @pytest.mark.parametrize("weights", [[1.0, 1.0, 1.0], [], [[1.0, 1.0]], [1.0]],
+                             ids=["longer", "empty", "2-d", "one"])
+    def test_weights_must_match_the_eigenvalues(self, weights):
+        # a longer list failed with a numpy broadcast error, and one weight
+        # was broadcast to every mode of a chunk
+        with pytest.raises(ValueError, match="weights"):
+            convolution_defect_profile([-1.0 + 0j, -2.0 + 0j], weights, TENT, [1.0, 2.0])
+
     @pytest.mark.parametrize("t_grid", [[math.nan, 1.0], [1.0, math.nan], [math.nan],
-                                        [1.0, math.inf]])
+                                        [1.0, math.inf], [], [[1.0, 2.0], [3.0, 4.0]], 2.0])
     def test_nan_times_rejected(self, t_grid):
         # [nan, 1] used to pass the grid check and give a NaN sup, and
-        # [1, inf] a NaN sup with a divide warning
+        # [1, inf] a NaN sup with a divide warning; an empty grid raised
+        # IndexError, and a 2-d one numpy's "truth value ... is ambiguous"
         with pytest.raises(ValueError, match="t_grid"):
             convolution_defect_profile([-1.0 + 0j], [1.0], TENT, t_grid)
 
@@ -557,6 +566,13 @@ class TestAsymptoticRegularity:
         assert report.passed  # all values finite
         assert np.isfinite(report.constant_stability)
         assert report.metadata["kernel"] == kernel.name
+
+    @pytest.mark.parametrize("t_grid", [[], np.tile(np.geomspace(10.0, 1e3, 5), (2, 1))],
+                             ids=["empty", "2-d"])
+    def test_grid_must_be_a_non_empty_row(self, t_grid):
+        scenario = Scenario(cluster_zero(2.0, 10), "vector")
+        with pytest.raises(ValueError, match="t_grid"):
+            check_asymptotic_regularity(scenario, TENT, t_grid=t_grid)
 
     def test_stability_limit_is_enforced_honestly(self):
         # every mode of this model is damped well away from the plateau
@@ -748,6 +764,15 @@ class TestReportBuilders:
                                    " by 2.000e-06 (tolerance 1e-06)"]
         assert math.isnan(report.rows[2][3])  # the closed form vanishes at s = 3
         assert kernel_check_report(TENT, s, closed).passed
+
+    @pytest.mark.parametrize("kernel", [TENT, FUDGE, BUMP], ids=["tent", "fudge", "bump"])
+    def test_kernel_check_closed_column_is_the_pointwise_transform(self, kernel):
+        # one array call gives each point the bits it gets alone
+        s = np.concatenate([np.linspace(0.0, 2.0, 9), np.linspace(-3.0, 3.0, 2001)])
+        report = kernel_check_report(kernel, s, np.zeros(s.size))
+        pointwise = [float(kernel.freq_eval(np.asarray(v))) for v in s.tolist()]
+        assert np.array([row[2] for row in report.rows]).tobytes() == \
+            np.array(pointwise).tobytes()
 
     def test_parseval_and_raw_oracle_fail_per_point(self):
         t = np.array([1.0, 2.0])
